@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,7 +112,7 @@ class LimitBoundResult:
     records: tuple[BoundRecord, ...]
     lower_bound: Fraction          # ratio at n_max; monotone lower bound
     upper_envelope: Fraction       # lower_bound + remaining tail of sum 1/C(k,3)
-    monotone: bool                 # ratio non-decreasing at every single step
+    monotone: bool                 # ratio non-decreasing across the checkpoints
 
     @property
     def final(self) -> BoundRecord:
@@ -135,30 +134,31 @@ class LimitBoundResult:
 def limit_bound(d: int, n_max: int, *, record_count: int = 200) -> LimitBoundResult:
     """Run the recursion from (t=1, n=base_case(d)) up to n_max.
 
-    Monotonicity of the ratio t_n / C(n,3) is verified exactly at every step
-    by cross multiplication.  ``record_count`` controls how many trajectory
-    checkpoints are retained (the final row is always included).
+    ``record_count`` controls how many trajectory checkpoints are retained:
+    every ``stride``-th n from the base case, plus the final row at n_max.
+    Between checkpoints the loop is bare integer arithmetic; records and
+    their exact ratios are built only at checkpoints.
+
+    The ratio t_n / C(n,3) is non-decreasing at every step by construction:
+    t_{n+1} = ceil(t_n (n+1)/(n-2)) >= t_n (n+1)/(n-2), and
+    C(n+1,3) = C(n,3) (n+1)/(n-2).  ``monotone`` reports an exact check of
+    that fact on consecutive checkpoint ratios (rational comparison, i.e.
+    cross-multiplication), so the flag stays truthful.
     """
     start = base_case(d)
     if n_max < start:
         raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
+    stride = max(1, (n_max - start) // max(1, record_count))
     t = 1
     n = start
-    c3 = binom3(n)
-    stride = max(1, (n_max - start) // max(1, record_count))
-    records = [BoundRecord(d, n, t, Fraction(t, c3))]
-    monotone = True
-    while n < n_max:
-        t_next = recursion_step(t, n)
-        c3_next = c3 * (n + 1) // (n - 2)  # exact: C(n,3)*(n+1)/(n-2) = C(n+1,3)
-        if t_next * c3 < t * c3_next:
-            monotone = False
-        t, c3, n = t_next, c3_next, n + 1
-        if (n - start) % stride == 0 and n != n_max:
-            records.append(BoundRecord(d, n, t, Fraction(t, c3)))
-    if records[-1].n != n_max:
-        records.append(BoundRecord(d, n_max, t, Fraction(t, c3)))
-    lower = Fraction(t, c3)
+    records = []
+    for stop in [*range(start, n_max, stride), n_max]:
+        # With k = n - 2: ceil(t (k+3)/k) = t + ceil(3t/k) = t - floor(-3t/k).
+        for k in range(n - 2, stop - 2):
+            t -= -3 * t // k
+        n = stop
+        records.append(BoundRecord(d, n, t, Fraction(t, binom3(n))))
+    lower = records[-1].ratio
     envelope = lower + Fraction(3, (n_max - 1) * (n_max - 2))
     return LimitBoundResult(
         d=d,
@@ -167,7 +167,7 @@ def limit_bound(d: int, n_max: int, *, record_count: int = 200) -> LimitBoundRes
         records=tuple(records),
         lower_bound=lower,
         upper_envelope=envelope,
-        monotone=monotone,
+        monotone=all(a.ratio <= b.ratio for a, b in zip(records, records[1:])),
     )
 
 
@@ -203,7 +203,3 @@ def records_to_csv(records: list[BoundRecord] | tuple[BoundRecord, ...]) -> str:
         writer.writerow([rec.d, rec.n, rec.t_n, rec.ratio.numerator, rec.ratio.denominator,
                          repr(rec.ratio_float)])
     return buf.getvalue()
-
-
-def summary_json(result: LimitBoundResult) -> str:
-    return json.dumps(result.summary())

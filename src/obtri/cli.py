@@ -47,6 +47,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
+# CSV outputs carry their manifest as a trailing comment line.
+MANIFEST_PREFIX = "# manifest: "
+
 
 def _default_workers() -> int:
     """Worker count for MC sharding; OBTRI_WORKERS overrides (not load-bearing:
@@ -87,15 +90,14 @@ def _fmt6(x: float) -> str:
 
 def cmd_bound(args) -> int:
     result = limit_bound(args.dim, args.n_max)
+    manifest = _manifest("bound", {"dim": args.dim, "n_max": args.n_max,
+                                   "format": args.format}, None)
     if args.format == "csv":
         text = records_to_csv(result.records)
-        text += f"# manifest: {json.dumps(_manifest('bound', {'dim': args.dim, 'n_max': args.n_max}, None))}\n"
+        text += f"{MANIFEST_PREFIX}{json.dumps(manifest)}\n"
         _emit(text, args.output)
     else:
-        payload = {
-            "manifest": _manifest("bound", {"dim": args.dim, "n_max": args.n_max}, None),
-            "result": result.summary(),
-        }
+        payload = {"manifest": manifest, "result": result.summary()}
         _emit(json.dumps(payload, indent=2), args.output)
     if not args.output:
         sys.stderr.write(
@@ -115,7 +117,7 @@ def cmd_table(args) -> int:
             f"{float(asymptotic_bound(d))!r},{naive!r}"
         )
     text = "\n".join(lines) + "\n"
-    text += f"# manifest: {json.dumps(_manifest('table', {'dims': list(args.dims), 'n_max': args.n_max}, None))}\n"
+    text += f"{MANIFEST_PREFIX}{json.dumps(_manifest('table', {'dims': list(args.dims), 'n_max': args.n_max}, None))}\n"
     _emit(text, args.output)
     return EXIT_OK
 
@@ -174,7 +176,7 @@ def cmd_fixedpoint(args) -> int:
         for p, x in fixed_point_scan(args.scan_points):
             lines.append(f"{p!r},{x!r},{1.0 - x!r}")
         text = "\n".join(lines) + "\n"
-        text += f"# manifest: {json.dumps(_manifest('fixedpoint', {'scan_points': args.scan_points}, None))}\n"
+        text += f"{MANIFEST_PREFIX}{json.dumps(_manifest('fixedpoint', {'scan_points': args.scan_points}, None))}\n"
         _emit(text, args.output)
         return EXIT_OK
     opt = maximize_acute()
@@ -225,16 +227,30 @@ def cmd_selfsimilar(args) -> int:
     return EXIT_OK
 
 
+def _load_manifest(path: str) -> dict:
+    """The manifest of a saved run: a JSON output (or a bare manifest), or the
+    trailing manifest line of a CSV output."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        saved = json.loads(text)
+    except json.JSONDecodeError:
+        lines = [ln for ln in text.splitlines() if ln.startswith(MANIFEST_PREFIX)]
+        if not lines:
+            raise ValueError(f"{path} is neither JSON nor a CSV with a manifest line") from None
+        return json.loads(lines[-1][len(MANIFEST_PREFIX):])
+    return saved.get("manifest", saved)
+
+
 def cmd_replay(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        saved = json.load(fh)
-    manifest = saved.get("manifest", saved)
+    manifest = _load_manifest(args.manifest)
     sub = manifest["subcommand"]
     params = manifest["params"]
     seed = manifest.get("seed")
     argv = [sub]
     if sub == "bound":
-        argv += ["--dim", str(params["dim"]), "--n-max", str(params["n_max"])]
+        argv += ["--dim", str(params["dim"]), "--n-max", str(params["n_max"]),
+                 "--format", params.get("format", "json")]
     elif sub == "table":
         argv += ["--dims", f"{params['dims'][0]}..{params['dims'][1]}",
                  "--n-max", str(params["n_max"])]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from obtri.bounds import (
+    BoundRecord,
     asymptotic_bound,
     base_case,
     binom3,
@@ -146,6 +147,41 @@ class TestLimitBound:
         lines = text.strip().splitlines()
         assert lines[0] == "d,n,t_n,ratio_exact_num,ratio_exact_den,ratio_float"
         assert lines[1].startswith("2,4,1,")
+
+
+def reference_limit_bound(d, n_max, record_count):
+    """Step-by-step oracle: recursion_step, running C(n,3) and an exact
+    cross-multiplied monotonicity check at every single step."""
+    start = base_case(d)
+    t, n, c3 = 1, start, binom3(start)
+    stride = max(1, (n_max - start) // max(1, record_count))
+    records = [BoundRecord(d, n, t, Fraction(t, c3))]
+    monotone = True
+    while n < n_max:
+        t_next = recursion_step(t, n)
+        c3_next = c3 * (n + 1) // (n - 2)
+        monotone = monotone and t_next * c3 >= t * c3_next
+        t, c3, n = t_next, c3_next, n + 1
+        if (n - start) % stride == 0 and n != n_max:
+            records.append(BoundRecord(d, n, t, Fraction(t, c3)))
+    if records[-1].n != n_max:
+        records.append(BoundRecord(d, n_max, t, Fraction(t, c3)))
+    lower = Fraction(t, c3)
+    return records, lower, lower + Fraction(3, (n_max - 1) * (n_max - 2)), monotone
+
+
+class TestLimitBoundEquivalence:
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("extra", [0, 1, 7, 200, 2500])
+    @pytest.mark.parametrize("record_count", [1, 10, 200, 10 ** 6])
+    def test_matches_step_by_step_reference(self, d, extra, record_count):
+        n_max = base_case(d) + extra
+        records, lower, envelope, monotone = reference_limit_bound(d, n_max, record_count)
+        res = limit_bound(d, n_max, record_count=record_count)
+        assert list(res.records) == records
+        assert res.lower_bound == lower
+        assert res.upper_envelope == envelope
+        assert res.monotone is monotone is True
 
 
 class TestAsymptoticAndNaive:

@@ -199,6 +199,30 @@ class TestReplay:
         assert a == b
 
 
+class TestReplayCsv:
+    @pytest.mark.parametrize("argv", [
+        ["table", "--dims", "4..6", "--n-max", "3000"],
+        ["bound", "--dim", "3", "--n-max", "3000", "--format", "csv"],
+    ])
+    def test_csv_body_byte_identical(self, argv, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run(argv + ["--output", str(first)], capsys)[0] == EXIT_OK
+        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)],
+                         capsys)
+        assert code == EXIT_OK
+        a = first.read_text().split("# manifest:")
+        b = second.read_text().split("# manifest:")
+        assert len(a) == len(b) == 2
+        assert a[0] == b[0]
+
+    def test_text_without_manifest_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "plain.csv"
+        path.write_text("d,n\n2,4\n")
+        code, _, err = run(["replay", "--manifest", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "manifest" in err
+
+
 class TestWorkersEnv:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("OBTRI_WORKERS", "4")
