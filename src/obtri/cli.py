@@ -255,7 +255,7 @@ def cmd_replay(args) -> int:
         argv += ["--dims", f"{params['dims'][0]}..{params['dims'][1]}",
                  "--n-max", str(params["n_max"])]
     elif sub == "sphere":
-        argv += ["--dim", str(params["dim"])]
+        argv += ["--dim", str(params["dim"]), "--tol", repr(params["tol"])]
         if params.get("mc_samples"):
             argv += ["--mc-samples", str(params["mc_samples"]), "--seed", str(seed)]
     elif sub == "mc":
@@ -268,7 +268,8 @@ def cmd_replay(args) -> int:
         argv += ["--n", str(params["n"]), "--dim", str(params["d"]),
                  "--iterations", str(params["iterations"]),
                  "--restarts", str(params["restarts"]),
-                 "--mode", params["mode"], "--seed", str(seed)]
+                 "--mode", params["mode"], "--tol", repr(params["tol"]),
+                 "--seed", str(seed)]
     else:
         raise ValueError(f"cannot replay subcommand {sub!r}")
     if args.output:

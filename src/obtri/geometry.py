@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,27 +88,10 @@ class Configuration:
         return cls(points=pts)
 
 
-def _vertex_dots(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Edge-vector dot products at vertices a, b, c plus squared edge lengths.
-
-    Accepts stacked arrays of shape (..., d); returns arrays of shape (...,).
-    """
-    ab = b - a
-    ac = c - a
-    bc = c - b
-    dot_a = np.einsum("...i,...i->...", ab, ac)
-    dot_b = -np.einsum("...i,...i->...", ab, bc)
-    dot_c = np.einsum("...i,...i->...", ac, bc)
-    l_ab = np.einsum("...i,...i->...", ab, ab)
-    l_ac = np.einsum("...i,...i->...", ac, ac)
-    l_bc = np.einsum("...i,...i->...", bc, bc)
-    return dot_a, dot_b, dot_c, l_ab, l_ac, l_bc
-
-
-def _triangle_area(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray,
-                   dot_a: np.ndarray) -> np.ndarray:
-    """Triangle areas, stable for needles.
+def _triangle_area(u: np.ndarray, v: np.ndarray,
+                   l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.ndarray:
+    """Areas of triangles abc from the edge vectors u = b - a, v = c - a and
+    the squared edge lengths, stable for needles.
 
     In 2 and 3 dimensions the cross product of the edge-difference vectors is
     used: the differences are computed first, so large common coordinates
@@ -118,9 +100,7 @@ def _triangle_area(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     there is no cross product; Kahan's ordered Heron formula on the three
     edge lengths is the best length-only fallback.
     """
-    d = a.shape[-1]
-    u = b - a
-    v = c - a
+    d = u.shape[-1]
     if d == 2:
         return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     if d == 3:
@@ -134,18 +114,35 @@ def _triangle_area(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return 0.25 * np.sqrt(prod)
 
 
-def classify_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Classify stacked triangles; returns an int array (see ``CLASS_ORDER``).
+def measure_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triangle-measure kernel: class codes with the quantities behind them.
 
-    0 = acute, 1 = right, 2 = obtuse, 3 = degenerate.
+    Accepts stacked vertices of shape (..., d).  Returns ``(codes, min_abs,
+    scale)`` of shape (...,): the int8 class code (see ``classify_batch``),
+    the smallest |vertex dot product| and the largest squared edge length.
+    ``min_abs / scale`` is the normalized right-angle margin that the
+    annealing search maximizes.
     """
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    dot_a, dot_b, dot_c, l_ab, l_ac, l_bc = _vertex_dots(a, b, c)
+    a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
+    ab = b - a
+    ac = c - a
+    bc = c - b
+    dot_a = np.einsum("...i,...i->...", ab, ac)
+    dot_b = -np.einsum("...i,...i->...", ab, bc)
+    dot_c = np.einsum("...i,...i->...", ac, bc)
+    l_ab = np.einsum("...i,...i->...", ab, ab)
+    l_ac = np.einsum("...i,...i->...", ac, ac)
+    l_bc = np.einsum("...i,...i->...", bc, bc)
+    # The (..., d) edge vectors are the largest temporaries: drop them as soon
+    # as they are used, so a Monte Carlo shard's peak memory stays low.
+    del bc
+    area = _triangle_area(ab, ac, l_ab, l_ac, l_bc)
+    del ab, ac
     scale = np.maximum(l_ab, np.maximum(l_ac, l_bc))
     thresh = tol * scale
-    area = _triangle_area(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                          np.asarray(c, dtype=float), l_ab, l_ac, l_bc, dot_a)
 
     min_dot = np.minimum(dot_a, np.minimum(dot_b, dot_c))
     min_abs = np.minimum(np.abs(dot_a), np.minimum(np.abs(dot_b), np.abs(dot_c)))
@@ -154,7 +151,32 @@ def classify_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEF
     out[min_dot < -thresh] = 2
     out[min_abs <= thresh] = 1
     out[area <= thresh] = 3
-    return out
+    return out, min_abs, scale
+
+
+def classify_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Classify stacked triangles; returns an int array (see ``CLASS_ORDER``).
+
+    0 = acute, 1 = right, 2 = obtuse, 3 = degenerate.
+    """
+    return measure_batch(a, b, c, tol)[0]
+
+
+def triple_blocks(n: int) -> Iterator[np.ndarray]:
+    """All index triples i < j < k of range(n), one (m, 3) block per first index i.
+
+    Blocks come in ``itertools.combinations`` order, so concatenating them
+    gives the same array as ``combinations(range(n), 3)``; the largest holds
+    C(n-1, 2) rows, so a caller that consumes one block at a time needs
+    O(n^2) memory rather than O(n^3).
+    """
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        block = np.empty((j.size, 3), dtype=np.intp)
+        block[:, 0] = i
+        block[:, 1] = j + (i + 1)
+        block[:, 2] = k + (i + 1)
+        yield block
 
 
 CLASS_ORDER = (TriangleClass.ACUTE, TriangleClass.RIGHT, TriangleClass.OBTUSE, TriangleClass.DEGENERATE)
@@ -180,23 +202,22 @@ def counts_from_codes(codes: np.ndarray) -> dict[TriangleClass, int]:
 def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[TriangleClass, int]:
     """Class counts over all C(n, 3) triples of a configuration.
 
-    Counts are exact Python ints and always sum to C(n, 3).
+    Counts are exact Python ints and always sum to C(n, 3).  Triples are
+    classified one ``triple_blocks`` block at a time.
     """
-    idx = np.array(list(combinations(range(config.n), 3)), dtype=np.intp)
     pts = config.points
-    codes = classify_batch(pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]], tol)
-    return counts_from_codes(codes)
+    binc = np.zeros(4, dtype=np.int64)
+    for block in triple_blocks(config.n):
+        a, b, c = (pts.take(block[:, col], axis=0) for col in range(3))
+        codes = classify_batch(a, b, c, tol)
+        binc += np.bincount(codes, minlength=4)
+    return {cls: int(binc[i]) for i, cls in enumerate(CLASS_ORDER)}
 
 
 def count_nonacute(config: Configuration, tol: float = DEFAULT_TOL) -> int:
     """Number of triples classified Right, Obtuse or Degenerate."""
     counts = count_classes(config, tol)
     return counts[TriangleClass.RIGHT] + counts[TriangleClass.OBTUSE] + counts[TriangleClass.DEGENERATE]
-
-
-def triple_count(n: int) -> int:
-    """C(n, 3) as an exact integer."""
-    return n * (n - 1) * (n - 2) // 6
 
 
 # Exact-rational classification, used to certify counts for configurations

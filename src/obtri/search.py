@@ -30,9 +30,10 @@ from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
     TriangleClass,
-    classify_batch,
     classify_exact,
     counts_from_codes,
+    measure_batch,
+    triple_blocks,
 )
 
 MODES = ("non-acute", "strict-obtuse")
@@ -124,25 +125,6 @@ def _mode_count(counts_vec: np.ndarray, mode: str) -> int:
     return int(counts_vec[1] + counts_vec[2] + counts_vec[3])
 
 
-def _evaluate(points: np.ndarray, idx: np.ndarray, mode: str, tol: float) -> tuple[int, float]:
-    """Objective count and the minimum normalized dot margin over triples."""
-    a, b, c = points[idx[:, 0]], points[idx[:, 1]], points[idx[:, 2]]
-    codes = classify_batch(a, b, c, tol)
-    vec = np.bincount(codes, minlength=4)
-    ab = b - a
-    ac = c - a
-    bc = c - b
-    dot_a = np.einsum("ij,ij->i", ab, ac)
-    dot_b = -np.einsum("ij,ij->i", ab, bc)
-    dot_c = np.einsum("ij,ij->i", ac, bc)
-    scale = np.maximum(np.einsum("ij,ij->i", ab, ab),
-                       np.maximum(np.einsum("ij,ij->i", ac, ac),
-                                  np.einsum("ij,ij->i", bc, bc)))
-    min_abs = np.minimum(np.abs(dot_a), np.minimum(np.abs(dot_b), np.abs(dot_c)))
-    margin = float(np.min(min_abs / np.maximum(scale, 1e-300)))
-    return _mode_count(vec, mode), margin
-
-
 def regular_polygon(n: int) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -173,15 +155,29 @@ def search_min(params: SearchParams) -> SearchResult:
 
     Fully deterministic for a fixed seed.  Ties on the objective are broken
     by pushing the configuration away from right angles (maximizing the
-    minimum normalized |dot| margin).
+    minimum normalized |dot| margin).  The class code and margin of every
+    triple are kept between moves; a move re-measures only the C(n-1, 2)
+    triples that contain the moved point.
 
     Raises:
         InvariantViolation: if the best non-acute count in d = 2 or 3 falls
             below the closed-form bound.
     """
-    idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
+    idx = np.concatenate(list(triple_blocks(params.n)))
+    # For each point, the triples that contain it: all a move has to re-measure.
+    touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]
+    corners = [(idx[t, 0], idx[t, 1], idx[t, 2]) for t in touching]
     cool = (params.t_final / params.t_initial) ** (1.0 / max(1, params.iterations - 1))
     shrink = (params.scale_final / params.scale_initial) ** (1.0 / max(1, params.iterations - 1))
+
+    def measure(pts, i, j, k):
+        """Class codes and normalized margins min|dot|/scale of the triples (i, j, k)."""
+        codes, min_abs, scale = measure_batch(pts.take(i, axis=0), pts.take(j, axis=0),
+                                              pts.take(k, axis=0), params.tol)
+        return codes, min_abs / np.maximum(scale, 1e-300)
+
+    def objective(codes, margins):
+        return _mode_count(np.bincount(codes, minlength=4), params.mode), float(margins.min())
 
     best_pts: np.ndarray | None = None
     best_count = None
@@ -192,7 +188,8 @@ def search_min(params: SearchParams) -> SearchResult:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((params.seed, restart))))
         pts = np.array(_initial_points(rng, params, restart), dtype=float)
-        count, margin = _evaluate(pts, idx, params.mode, params.tol)
+        codes, margins = measure(pts, *idx.T)
+        count, margin = objective(codes, margins)
         local_pts, local_count, local_margin = pts.copy(), count, margin
         temp = params.t_initial
         sigma = params.scale_initial
@@ -202,7 +199,10 @@ def search_min(params: SearchParams) -> SearchResult:
             step = rng.standard_normal(params.d) * sigma * diameter
             old = pts[k].copy()
             pts[k] = old + step
-            cand_count, cand_margin = _evaluate(pts, idx, params.mode, params.tol)
+            t = touching[k]
+            old_codes, old_margins = codes[t], margins[t]
+            codes[t], margins[t] = measure(pts, *corners[k])
+            cand_count, cand_margin = objective(codes, margins)
             accept = False
             if cand_count < count:
                 accept = True
@@ -216,6 +216,7 @@ def search_min(params: SearchParams) -> SearchResult:
                     local_pts, local_count, local_margin = pts.copy(), count, margin
             else:
                 pts[k] = old
+                codes[t], margins[t] = old_codes, old_margins
             temp *= cool
             sigma *= shrink
         per_restart.append(local_count)
@@ -225,8 +226,7 @@ def search_min(params: SearchParams) -> SearchResult:
             best_pts, best_count, best_margin = local_pts, local_count, local_margin
 
     config = Configuration(points=best_pts)
-    a, b, c = best_pts[idx[:, 0]], best_pts[idx[:, 1]], best_pts[idx[:, 2]]
-    counts = counts_from_codes(classify_batch(a, b, c, params.tol))
+    counts = counts_from_codes(measure(best_pts, *idx.T)[0])
     bound = closed_form_bound(params.n, params.d) if params.mode == "non-acute" else None
     if bound is not None and best_count < bound:
         raise InvariantViolation(

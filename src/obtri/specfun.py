@@ -135,13 +135,16 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int) -> float:
     )
 
 
-def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER) -> float:
+def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER,
+                 lbeta: float | None = None) -> float:
     """Regularized incomplete beta function I_z(a, b) on [0, 1].
 
     Continued-fraction evaluation with the symmetry switch
     I_z(a, b) = 1 − I_{1−z}(b, a) applied when z > (a+1)/(a+b+2), which keeps
     the fraction in its rapidly-converging regime.  Absolute error is a few
-    ulp (well under 1e-12) across the parameter ranges used here.
+    ulp (well under 1e-12) across the parameter ranges used here.  A caller
+    evaluating many z at fixed (a, b) may pass ``lbeta = log_beta(a, b)``
+    once instead of having it recomputed on every call.
 
     Raises:
         NumericalError: if the continued fraction fails to converge; the
@@ -152,15 +155,17 @@ def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER) -> float:
         return 0.0
     if z == 1.0:
         return 1.0
-    front = math.exp(a * math.log(z) + b * math.log1p(-z) - log_beta(a, b))
+    if lbeta is None:
+        lbeta = log_beta(a, b)
+    front = math.exp(a * math.log(z) + b * math.log1p(-z) - lbeta)
     if z < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, z, max_iter) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - z, max_iter) / b
 
 
-def betainc(z: float, a: float, b: float) -> float:
+def betainc(z: float, a: float, b: float, lbeta: float | None = None) -> float:
     """Convenience wrapper: reg_inc_beta without constructing BetaArgs by hand."""
-    return reg_inc_beta(BetaArgs(z=z, a=a, b=b))
+    return reg_inc_beta(BetaArgs(z=z, a=a, b=b), lbeta=lbeta)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,18 @@ import math
 
 import numpy as np
 
-from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma
+from obtri.specfun import QuadratureResult, betainc, integrate, log_beta, log_gamma
 
 
-def _three_caps(theta: float, d: int) -> float:
-    """Cap-mass sum, continuous extension to the closed interval [0, pi]."""
+def _three_caps(theta: float, d: int, lbeta: float) -> float:
+    """Cap-mass sum, continuous extension to the closed interval [0, pi].
+
+    ``lbeta`` is ``log_beta((d - 1) / 2, 1/2)``, shared by both caps.
+    """
     a = (d - 1) / 2.0
     s = math.sin(theta / 2.0) ** 2
     c = math.cos(theta / 2.0) ** 2
-    return 0.5 * betainc(s, a, 0.5) + betainc(c, a, 0.5)
+    return 0.5 * betainc(s, a, 0.5, lbeta) + betainc(c, a, 0.5, lbeta)
 
 
 def obtuse_given_angle(theta: float, d: int) -> float:
@@ -41,7 +44,7 @@ def obtuse_given_angle(theta: float, d: int) -> float:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (0.0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
-    return _three_caps(theta, d)
+    return _three_caps(theta, d, log_beta((d - 1) / 2.0, 0.5))
 
 
 def sin_power_norm(d: int) -> float:
@@ -51,7 +54,11 @@ def sin_power_norm(d: int) -> float:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return math.exp(0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0))
+    return math.exp(_log_sin_power_norm(d))
+
+
+def _log_sin_power_norm(d: int) -> float:
+    return 0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0)
 
 
 def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
@@ -63,7 +70,8 @@ def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    log_norm = 0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0)
+    log_norm = _log_sin_power_norm(d)
+    lbeta = log_beta((d - 1) / 2.0, 0.5)
     p = d - 2
 
     def integrand(theta: float) -> float:
@@ -71,7 +79,7 @@ def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
         if p > 0 and s <= 0.0:
             return 0.0
         log_w = p * math.log(s) - log_norm if p > 0 else -log_norm
-        return _three_caps(theta, d) * math.exp(log_w)
+        return _three_caps(theta, d, lbeta) * math.exp(log_w)
 
     scale = max(asymptotic_sphere(d), 1e-300)
     result: QuadratureResult = integrate(integrand, 0.0, math.pi, tol * min(1.0, scale))

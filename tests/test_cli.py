@@ -250,3 +250,22 @@ class TestReplaySearch:
         b = json.loads(second.read_text())["result"]
         assert a["points"] == b["points"]
         assert a["best_count"] == b["best_count"]
+
+
+class TestReplayKeepsTol:
+    """A non-default --tol survives the round trip through replay."""
+
+    @pytest.mark.parametrize("argv, tol", [
+        (["sphere", "--dim", "3", "--tol", "1e-06"], 1e-06),
+        (["search", "--n", "6", "--dim", "2", "--iterations", "300", "--restarts", "2",
+          "--seed", "17", "--tol", "0.05"], 0.05),
+    ])
+    def test_replayed_manifest_and_result(self, argv, tol, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(argv + ["--output", str(first)], capsys)[0] == EXIT_OK
+        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)],
+                         capsys)
+        assert code == EXIT_OK
+        a, b = json.loads(first.read_text()), json.loads(second.read_text())
+        assert a["manifest"]["params"]["tol"] == b["manifest"]["params"]["tol"] == tol
+        assert a["result"] == b["result"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE, random_rotation, regular_ngon
+from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
     TriangleClass,
@@ -14,8 +16,9 @@ from obtri.geometry import (
     count_classes,
     count_nonacute,
     load_configuration,
+    measure_batch,
     save_configuration,
-    triple_count,
+    triple_blocks,
 )
 
 A = TriangleClass.ACUTE
@@ -145,7 +148,7 @@ class TestCountClasses:
             for n in (4, 7, 10):
                 pts = rng.standard_normal((n, d))
                 counts = count_classes(Configuration(points=pts))
-                assert sum(counts.values()) == triple_count(n)
+                assert sum(counts.values()) == binom3(n)
 
     def test_count_nonacute(self):
         assert count_nonacute(Configuration(points=np.array(UNIT_SQUARE))) == 4
@@ -215,3 +218,60 @@ class TestThinTriangleRobustness:
         for row, code in zip(pts, codes):
             assert classify_triangle(row[0], row[1], row[2]).value == \
                 [A, R, O, D][code].value
+
+
+def _count_classes_one_batch(config, tol=1e-12):
+    """Reference: every triple from ``itertools.combinations`` in one batch."""
+    idx = np.array(list(itertools.combinations(range(config.n), 3)), dtype=np.intp)
+    pts = config.points
+    codes = classify_batch(pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]], tol)
+    binc = np.bincount(codes, minlength=4)
+    return {A: int(binc[0]), R: int(binc[1]), O: int(binc[2]), D: int(binc[3])}
+
+
+class TestTripleBlocks:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 11, 23])
+    def test_combinations_order(self, n):
+        blocks = list(triple_blocks(n))
+        assert len(blocks) == n - 2
+        assert [b[0, 0] for b in blocks] == list(range(n - 2))
+        assert all(b.shape == (binom3(n - i) - binom3(n - i - 1), 3) for i, b in enumerate(blocks))
+        got = [tuple(int(x) for x in row) for b in blocks for row in b]
+        assert got == list(itertools.combinations(range(n), 3))
+
+
+class TestMeasureBatch:
+    def test_min_abs_dot_and_scale(self, rng):
+        for d in (2, 3, 5):
+            pts = rng.standard_normal((200, 3, d))
+            a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+            _, min_abs, scale = measure_batch(a, b, c)
+            dots = [np.sum((b - a) * (c - a), axis=1), np.sum((a - b) * (c - b), axis=1),
+                    np.sum((a - c) * (b - c), axis=1)]
+            assert np.allclose(min_abs, np.min(np.abs(dots), axis=0), rtol=1e-12, atol=1e-14)
+            edges = [np.sum((b - a) ** 2, axis=1), np.sum((c - a) ** 2, axis=1),
+                     np.sum((c - b) ** 2, axis=1)]
+            assert np.allclose(scale, np.max(edges, axis=0), rtol=1e-12)
+
+
+class TestCountClassesMatchesOneBatch:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_small(self, n, rng):
+        for d in (2, 3):
+            config = Configuration(points=rng.standard_normal((n, d)))
+            assert count_classes(config) == _count_classes_one_batch(config)
+
+    def test_random_up_to_sixty(self, rng):
+        for _ in range(8):
+            n = int(rng.integers(6, 61))
+            d = int(rng.integers(2, 6))
+            config = Configuration(points=rng.standard_normal((n, d)))
+            assert count_classes(config) == _count_classes_one_batch(config)
+
+    def test_lattice_with_collinear_and_right_triples(self):
+        grid = np.array([(x, y) for x in range(5) for y in range(5)], dtype=float)
+        config = Configuration(points=grid)
+        counts = count_classes(config)
+        assert counts == _count_classes_one_batch(config)
+        assert counts[R] > 0 and counts[D] > 0 and counts[O] > 0 and counts[A] > 0
+        assert count_classes(config, tol=0.0) == _count_classes_one_batch(config, tol=0.0)

@@ -1,13 +1,18 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE_EXACT
 from obtri.bounds import closed_form_2d
-from obtri.geometry import TriangleClass
+from obtri.geometry import Configuration, TriangleClass, classify_batch, counts_from_codes
 from obtri.search import (
     SearchParams,
+    SearchResult,
+    _initial_points,
+    _mode_count,
     cross_polytope,
     enumerate_exact,
     closed_form_bound,
@@ -164,3 +169,104 @@ class TestCertifyResultJson:
         assert tol_obtuse <= cert.count(TriangleClass.OBTUSE) <= tol_obtuse + tol_right
         # the non-acute total is tolerance-robust here
         assert cert.nonacute() >= result.best_count
+
+
+def _evaluate_all(points, idx, mode, tol):
+    """Objective count and minimum normalized margin, recomputed over every triple."""
+    a, b, c = points[idx[:, 0]], points[idx[:, 1]], points[idx[:, 2]]
+    codes = classify_batch(a, b, c, tol)
+    vec = np.bincount(codes, minlength=4)
+    ab = b - a
+    ac = c - a
+    bc = c - b
+    dot_a = np.einsum("ij,ij->i", ab, ac)
+    dot_b = -np.einsum("ij,ij->i", ab, bc)
+    dot_c = np.einsum("ij,ij->i", ac, bc)
+    scale = np.maximum(np.einsum("ij,ij->i", ab, ab),
+                       np.maximum(np.einsum("ij,ij->i", ac, ac),
+                                  np.einsum("ij,ij->i", bc, bc)))
+    min_abs = np.minimum(np.abs(dot_a), np.minimum(np.abs(dot_b), np.abs(dot_c)))
+    margin = float(np.min(min_abs / np.maximum(scale, 1e-300)))
+    return _mode_count(vec, mode), margin
+
+
+def search_min_full_recompute(params):
+    """Reference annealing loop: every move re-classifies all C(n, 3) triples.
+
+    Same RNG draws, acceptance rule and per-triple formulas as ``search_min``.
+    """
+    idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
+    cool = (params.t_final / params.t_initial) ** (1.0 / max(1, params.iterations - 1))
+    shrink = (params.scale_final / params.scale_initial) ** (1.0 / max(1, params.iterations - 1))
+    best_pts, best_count, best_margin = None, None, -1.0
+    per_restart = []
+    for restart in range(params.restarts):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((params.seed, restart))))
+        pts = np.array(_initial_points(rng, params, restart), dtype=float)
+        count, margin = _evaluate_all(pts, idx, params.mode, params.tol)
+        local_pts, local_count, local_margin = pts.copy(), count, margin
+        temp = params.t_initial
+        sigma = params.scale_initial
+        diameter = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))) * 2.0 or 1.0
+        for _ in range(params.iterations):
+            k = int(rng.integers(0, params.n))
+            step = rng.standard_normal(params.d) * sigma * diameter
+            old = pts[k].copy()
+            pts[k] = old + step
+            cand_count, cand_margin = _evaluate_all(pts, idx, params.mode, params.tol)
+            if cand_count < count:
+                accept = True
+            elif cand_count == count:
+                accept = cand_margin >= margin
+            else:
+                accept = rng.random() < math.exp((count - cand_count) / temp)
+            if accept:
+                count, margin = cand_count, cand_margin
+                if count < local_count or (count == local_count and margin > local_margin):
+                    local_pts, local_count, local_margin = pts.copy(), count, margin
+            else:
+                pts[k] = old
+            temp *= cool
+            sigma *= shrink
+        per_restart.append(local_count)
+        if (best_count is None or local_count < best_count
+                or (local_count == best_count and local_margin > best_margin)):
+            best_pts, best_count, best_margin = local_pts, local_count, local_margin
+    a, b, c = best_pts[idx[:, 0]], best_pts[idx[:, 1]], best_pts[idx[:, 2]]
+    return SearchResult(
+        params=params,
+        best=Configuration(points=best_pts),
+        best_count=int(best_count),
+        counts=counts_from_codes(classify_batch(a, b, c, params.tol)),
+        margin=best_margin,
+        bound=closed_form_bound(params.n, params.d) if params.mode == "non-acute" else None,
+        per_restart=tuple(per_restart),
+    )
+
+
+class TestIncrementalMatchesFullRecompute:
+    """search_min re-measures only the triples touching the moved point; its
+    result must equal the full-recompute loop bit for bit."""
+
+    @pytest.mark.parametrize("n, d, mode, seed", [
+        (3, 2, "non-acute", 1),
+        (4, 2, "strict-obtuse", 2),       # regular-polygon warm start (the square)
+        (7, 2, "non-acute", 3),
+        (20, 2, "non-acute", 4),
+        (20, 2, "strict-obtuse", 5),
+        (6, 3, "non-acute", 6),           # cross-polytope warm start (octahedron)
+        (6, 3, "strict-obtuse", 7),
+        (4, 3, "non-acute", 8),
+        (7, 3, "strict-obtuse", 9),
+        (20, 3, "non-acute", 10),
+        (8, 4, "non-acute", 11),          # cross-polytope in R^4, Heron areas
+    ])
+    def test_identical_result(self, n, d, mode, seed):
+        params = SearchParams(n=n, d=d, mode=mode, seed=seed, iterations=250, restarts=3)
+        assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()
+
+    def test_identical_with_loose_tolerance(self):
+        # A wide Right band makes rejected moves and margin ties common.
+        params = SearchParams(n=7, d=2, seed=12, iterations=300, restarts=2, tol=1e-2)
+        assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()

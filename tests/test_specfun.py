@@ -9,6 +9,7 @@ from obtri.specfun import (
     NumericalError,
     betainc,
     integrate,
+    log_beta,
     log_gamma,
     norm_ppf,
     reg_inc_beta,
@@ -113,6 +114,13 @@ class TestRegIncBeta:
             BetaArgs(z=0.5, a=-1.0, b=1.0)
         with pytest.raises(ValueError):
             BetaArgs(z=0.5, a=1.0, b=0.0)
+
+    def test_precomputed_log_beta_is_bit_identical(self, rng):
+        # Both sides of the symmetry switch use log B(a, b) of the caller's (a, b).
+        for a in (0.5, 1.5, 39.5):
+            lbeta = log_beta(a, 0.5)
+            for z in rng.uniform(0.0, 1.0, size=40):
+                assert betainc(z, a, 0.5, lbeta) == betainc(z, a, 0.5)
 
     def test_nonconvergence_reports_arguments(self):
         with pytest.raises(NumericalError) as err:

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -86,6 +88,22 @@ class TestObtuseProbSphere:
             p = obtuse_prob_sphere(d)
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(p_hat - p) <= 4.0 * sigma
+
+
+class TestObtuseProbSphereFixtures:
+    """Quadrature values against 30-digit mpmath references."""
+
+    ROWS = json.loads((pathlib.Path(__file__).parent / "data" / "sphere_fixtures.json")
+                      .read_text())["obtuse_prob_sphere"]
+
+    @pytest.mark.parametrize("row", ROWS, ids=[f"d{row['d']}" for row in ROWS])
+    def test_reference(self, row):
+        got = obtuse_prob_sphere(row["d"])
+        assert abs(got - row["expected"]) <= row["rtol"] * row["expected"], row["note"]
+
+    def test_d5_fixture_is_17_over_70(self):
+        row = next(r for r in self.ROWS if r["d"] == 5)
+        assert row["expected"] == 17 / 70
 
 
 class TestAsymptoticSphere:
