@@ -259,10 +259,7 @@ def cmd_replay(args) -> int:
         if params.get("mc_samples"):
             argv += ["--mc-samples", str(params["mc_samples"]), "--seed", str(seed)]
     elif sub == "mc":
-        spec_path = args.spec or "replayed_spec.json"
-        with open(spec_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(params["spec"]))
-        argv += ["--spec", spec_path, "--samples", str(params["samples"]),
+        argv += ["--samples", str(params["samples"]),
                  "--seed", str(seed), "--tol", repr(params["tol"])]
     elif sub == "search":
         argv += ["--n", str(params["n"]), "--dim", str(params["d"]),
@@ -274,7 +271,17 @@ def cmd_replay(args) -> int:
         raise ValueError(f"cannot replay subcommand {sub!r}")
     if args.output:
         argv += ["--output", args.output]
-    return main(argv)
+    if sub != "mc":
+        return main(argv)
+    # The mc subcommand reads its spec from a file: write the saved one where
+    # asked, or else into a temporary directory, never the working directory.
+    # (Imported here: tempfile adds about 6 ms to every start of the command.)
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = args.spec or os.path.join(tmp, "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(params["spec"]))
+        return main(argv + ["--spec", spec_path])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--spec", help="where to write the replayed spec file (mc only)")
+    p.add_argument("--spec", help="where to write the replayed spec file (mc only; "
+                        "a temporary file when omitted)")
     add_common(p, seeded=False)
     p.set_defaults(func=cmd_replay)
 

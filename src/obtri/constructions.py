@@ -124,21 +124,30 @@ class Arc:
         return self.length / self.radius
 
     def points(self, u: np.ndarray) -> np.ndarray:
-        """Points at signed arc-length offsets u from the vertex, shape (n, 2).
+        """Points at signed arc-length offsets u from the vertex, shape (n, 2)."""
+        return arc_points(np.asarray(u, dtype=float), self.radius, self.base_angle,
+                          self.vertex[0], self.vertex[1])
 
-        Evaluated as vertex + chord offset using the half-angle identity, so
-        coordinates keep full relative precision even for tiny arcs.
-        """
-        psi = np.asarray(u, dtype=float) / self.radius
-        half = 0.5 * psi
-        two_r_sin = 2.0 * self.radius * np.sin(half)
-        mid = self.base_angle + half
-        dx = -two_r_sin * np.sin(mid)
-        dy = two_r_sin * np.cos(mid)
-        out = np.empty((psi.shape[0], 2))
-        out[:, 0] = self.vertex[0] + dx
-        out[:, 1] = self.vertex[1] + dy
-        return out
+
+def arc_points(u: np.ndarray, radius, base_angle, vx, vy) -> np.ndarray:
+    """Points at signed arc-length offsets u along arcs, shape (n, 2).
+
+    The arc parameters (radius, polar angle of the vertex seen from the
+    center, vertex coordinates) are scalars for one arc or per-point arrays
+    gathered from several.  Evaluated as vertex + chord offset using the
+    half-angle identity, so coordinates keep full relative precision even
+    for tiny arcs.
+    """
+    psi = u / radius
+    half = 0.5 * psi
+    two_r_sin = 2.0 * radius * np.sin(half)
+    mid = base_angle + half
+    dx = -two_r_sin * np.sin(mid)
+    dy = two_r_sin * np.cos(mid)
+    out = np.empty((psi.shape[0], 2))
+    out[:, 0] = vx + dx
+    out[:, 1] = vy + dy
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,19 @@ def arc_triple_geometry(params: ArcTripleParams) -> ArcTripleGeometry:
 
 ARC_NAMES = ("A", "C", "B")  # index order used by the sampler
 
+# Points per block of the samplers' element-wise formulas: large enough that
+# the loop over blocks costs nothing, small enough that a block's temporaries
+# stay in cache and a shard's peak memory stays low.
+_BLOCK = 1 << 14
+
+
+def _blockwise(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """Fill ``out`` block by block: out[i:j] = fn(a[i:j] for each of arrays)."""
+    for lo in range(0, out.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        out[rows] = fn(*(a[rows] for a in arrays))
+    return out
+
 
 class ArcTripleSampler:
     """Uniform mixture: arc chosen uniformly among A, C, B; position uniform
@@ -199,26 +221,24 @@ class ArcTripleSampler:
     def __init__(self, params: ArcTripleParams):
         self.params = params
         self.geometry = arc_triple_geometry(params)
+        # Rows: length, radius, base angle, vertex x, vertex y; column i is
+        # arc ARC_NAMES[i], the index ``sample`` draws.
+        self._arc_table = np.array([
+            (arc.length, arc.radius, arc.base_angle, arc.vertex[0], arc.vertex[1])
+            for arc in (self.geometry.arcs[name] for name in ARC_NAMES)
+        ]).T
 
     def spec_dict(self) -> dict:
         return {"kind": "arc_triple", "params": self.params.to_dict()}
 
-    def _points_on(self, name: str, rng: np.random.Generator, n: int) -> np.ndarray:
-        arc = self.geometry.arcs[name]
-        u = (rng.random(n) - 0.5) * arc.length
-        return arc.points(u)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         which = rng.integers(0, 3, size=n)
         u = rng.random(n) - 0.5
-        out = np.empty((n, 2))
-        for i, name in enumerate(ARC_NAMES):
-            mask = which == i
-            if not np.any(mask):
-                continue
-            arc = self.geometry.arcs[name]
-            out[mask] = arc.points(u[mask] * arc.length)
-        return out
+        return _blockwise(self._gathered_points, np.empty((n, 2)), which, u)
+
+    def _gathered_points(self, which: np.ndarray, u: np.ndarray) -> np.ndarray:
+        length, radius, base_angle, vx, vy = self._arc_table.take(which, axis=1)
+        return arc_points(u * length, radius, base_angle, vx, vy)
 
     def sample_pattern(self, rng: np.random.Generator, pattern: str, n: int) -> np.ndarray:
         """n triples with prescribed arcs per position, shape (n, 3, 2)."""
@@ -226,7 +246,8 @@ class ArcTripleSampler:
             raise ValueError(f"pattern must be three of A/B/C, got {pattern!r}")
         out = np.empty((n, 3, 2))
         for pos, name in enumerate(pattern):
-            out[:, pos, :] = self._points_on(name, rng, n)
+            arc = self.geometry.arcs[name]
+            out[:, pos, :] = arc.points((rng.random(n) - 0.5) * arc.length)
         return out
 
 
@@ -489,6 +510,11 @@ class SelfSimilarSampler:
     def __init__(self, params: SelfSimilarParams):
         self.params = params
         self._arc_sampler = ArcTripleSampler(params.arc)
+        # Per-level spin and radius, indexed by level in ``_cap_points``.
+        level = np.arange(params.max_depth + 1, dtype=float)
+        spin = self._LEVEL_SPIN * level
+        self._spin_cos, self._spin_sin = np.cos(spin), np.sin(spin)
+        self._level_radius = params.rho ** level
         logger.debug("self-similar sampler: tail mass beyond depth %d is %.3e",
                      params.max_depth, params.tail_mass)
 
@@ -510,32 +536,30 @@ class SelfSimilarSampler:
     # near-degenerate cross-level slivers.
     _LEVEL_SPIN = math.pi * (3.0 - math.sqrt(5.0))
 
-    def _cap_points(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
-        """Map planar arc-triple draws onto the cap of each point's level."""
-        n = levels.shape[0]
-        planar = self._arc_sampler.sample(rng, n)
+    def _cap_points(self, planar: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Map planar arc-triple points onto the cap of each point's level."""
         theta = self.params.cap_half_angle
         # Tangent coordinates in radians, construction centered on the pole.
         tx = (planar[:, 0] - 0.5) * theta
         ty = planar[:, 1] * theta
-        spin = self._LEVEL_SPIN * levels.astype(float)
-        cs, sn = np.cos(spin), np.sin(spin)
+        cs, sn = self._spin_cos.take(levels), self._spin_sin.take(levels)
         tx, ty = cs * tx - sn * ty, sn * tx + cs * ty
         psi = np.hypot(tx, ty)
         s = np.sinc(psi / math.pi)  # sin(psi)/psi, 1 at 0
-        r = self.params.rho ** levels.astype(float)
-        out = np.empty((n, 3))
+        r = self._level_radius.take(levels)
+        out = np.empty((levels.shape[0], 3))
         out[:, 0] = r * s * tx
         out[:, 1] = r * s * ty
         out[:, 2] = r * np.cos(psi)
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._cap_points(rng, self.sample_levels(rng, n))
+        return self.sample_with_levels(rng, n)[0]
 
     def sample_with_levels(self, rng: np.random.Generator, n: int):
         levels = self.sample_levels(rng, n)
-        return self._cap_points(rng, levels), levels
+        planar = self._arc_sampler.sample(rng, n)
+        return _blockwise(self._cap_points, np.empty((n, 3)), planar, levels), levels
 
 
 def _category_weights(params: SelfSimilarParams) -> np.ndarray:
@@ -613,14 +637,12 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
         rng = policy.rng_for_shard(shard)
         pts, levels = sampler.sample_with_levels(rng, 3 * count)
         tri = pts.reshape(count, 3, 3)
-        lev = levels.reshape(count, 3)
         codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
-        shallow = lev.min(axis=1)
-        n_at_shallow = (lev == shallow[:, None]).sum(axis=1)
-        for cat in (1, 2, 3):
-            mask = n_at_shallow == cat
-            if np.any(mask):
-                cat_class[cat - 1] += np.bincount(codes[mask], minlength=4)
+        # Column-wise: numpy reduces a length-3 axis far slower.
+        l0, l1, l2 = levels.reshape(count, 3).T
+        shallow = np.minimum(np.minimum(l0, l1), l2)
+        n_at_shallow = (l0 == shallow).astype(np.int64) + (l1 == shallow) + (l2 == shallow)
+        cat_class += np.bincount(4 * (n_at_shallow - 1) + codes, minlength=12).reshape(3, 4)
     totals = cat_class.sum(axis=0)
     counts = {cls: int(totals[i]) for i, cls in enumerate(CLASS_ORDER)}
     acute = counts[TriangleClass.ACUTE]

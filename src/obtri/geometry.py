@@ -108,8 +108,16 @@ def _triangle_area(u: np.ndarray, v: np.ndarray,
         cy = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
         cz = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
         return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
-    sides = np.sort(np.stack([np.sqrt(l_ab), np.sqrt(l_ac), np.sqrt(l_bc)], axis=-1), axis=-1)
-    sc, sb, sa = sides[..., 0], sides[..., 1], sides[..., 2]
+    # Order the side lengths sa >= sb >= sc with a three-element min/max
+    # network (it selects the same values as sorting), writing each result
+    # into a buffer whose contents are no longer needed.
+    x, y, z = np.sqrt(l_ab), np.sqrt(l_ac), np.sqrt(l_bc)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y, out=x)
+    mid_hi = np.minimum(hi, z, out=y)
+    sa = np.maximum(hi, z, out=hi)
+    sc = np.minimum(lo, z, out=z)
+    sb = np.maximum(lo, mid_hi, out=lo)
     prod = (sa + (sb + sc)) * np.maximum(sc - (sa - sb), 0.0) * (sc + (sa - sb)) * (sa + (sb - sc))
     return 0.25 * np.sqrt(prod)
 

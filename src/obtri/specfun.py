@@ -181,6 +181,13 @@ def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h * (fa + 4.0 * fm + fb) / 6.0
 
 
+# Integrand evaluations one ``integrate`` call may spend.  A noisy integrand
+# can fail both stopping criteria on ever smaller panels (the sphere
+# quadrature past d ~ 125), which would otherwise bisect for hours.  The
+# sphere quadrature needs 15,525 evaluations at d = 80 and 221,705 at d = 125.
+MAX_EVALUATIONS = 250_000
+
+
 def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 60) -> QuadratureResult:
     """Adaptive Simpson integration of ``f`` over [lo, hi].
 
@@ -191,8 +198,11 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
 
     Raises:
         ValueError: on invalid bounds or tolerance.
-        NumericalError: if the depth budget is exhausted before reaching
-            ``tol``; the exception carries the best estimate so far.
+        NumericalError: if the depth budget or the ``MAX_EVALUATIONS`` budget
+            is exhausted before reaching ``tol``; the exception carries the
+            best estimate so far (for the evaluation budget, of the whole
+            integral: panels still open when the budget runs out keep their
+            current estimate).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
@@ -202,6 +212,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
         return QuadratureResult(0.0, 0.0, 0)
 
     evals = [0]
+    exhausted = [False]
 
     def ev(x: float) -> float:
         evals[0] += 1
@@ -224,6 +235,9 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
         floor = 1e-15 * (abs(left) + abs(right)) + 1e-300
         if abs(delta) <= 15.0 * eps or abs(delta) <= floor:
             return left + right + delta / 15.0, abs(delta) / 15.0
+        if evals[0] >= MAX_EVALUATIONS:
+            exhausted[0] = True
+            return left + right + delta / 15.0, abs(delta) / 15.0
         if depth <= 0:
             raise NumericalError(
                 "adaptive quadrature depth budget exhausted",
@@ -240,6 +254,13 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
     fm = ev(0.5 * (lo + hi))
     whole = _simpson(fa, fm, fb, hi - lo)
     value, err = recurse(lo, hi, fa, fm, fb, whole, tol, max_depth)
+    if exhausted[0]:
+        raise NumericalError(
+            f"adaptive quadrature evaluation budget exhausted after {evals[0]} evaluations; "
+            f"best estimate {value!r}, error estimate {err:.3g}",
+            context={"lo": lo, "hi": hi, "tol": tol, "evaluations": evals[0]},
+            best=value,
+        )
     return QuadratureResult(value, err, evals[0])
 
 

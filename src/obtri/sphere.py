@@ -112,4 +112,5 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         k = int(bad.sum())
         pts[bad] = rng.standard_normal((k, d))
         norms[bad] = np.linalg.norm(pts[bad], axis=1)
-    return pts / norms[:, None]
+    pts /= norms[:, None]
+    return pts

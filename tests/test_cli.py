@@ -199,6 +199,22 @@ class TestReplay:
         assert a == b
 
 
+    def test_replay_mc_without_spec_leaves_cwd_alone(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 3}}))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(["mc", "--spec", str(spec), "--samples", "3000", "--seed", "7",
+                    "--output", str(first)], capsys)[0] == EXIT_OK
+        monkeypatch.chdir(work)
+        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)],
+                         capsys)
+        assert code == EXIT_OK
+        assert list(work.iterdir()) == []
+        assert json.loads(first.read_text())["result"] == json.loads(second.read_text())["result"]
+
+
 class TestReplayCsv:
     @pytest.mark.parametrize("argv", [
         ["table", "--dims", "4..6", "--n-max", "3000"],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from obtri import specfun
 from obtri.specfun import (
     BetaArgs,
     NumericalError,
@@ -162,6 +163,21 @@ class TestIntegrate:
             integrate(lambda t: abs(t - math.sqrt(0.5)) ** 0.1, 0.0, 1.0,
                       1e-300, max_depth=6)
         assert err.value.best is not None
+
+    def test_evaluation_budget(self, monkeypatch):
+        f = lambda t: math.cos(50.0 * t)
+        exact = math.sin(200.0) / 50.0
+        # Within the default budget: about 107,000 evaluations reach tol.
+        res = integrate(f, 0.0, 4.0, 1e-12)
+        assert res.evaluations < specfun.MAX_EVALUATIONS
+        assert res.value == pytest.approx(exact, abs=1e-10)
+        monkeypatch.setattr(specfun, "MAX_EVALUATIONS", 500)
+        with pytest.raises(NumericalError) as err:
+            integrate(f, 0.0, 4.0, 1e-12)
+        # Panels still open when the budget runs out are not refined further:
+        # at most two more evaluations per level of the open recursion path.
+        assert 500 <= err.value.context["evaluations"] <= 500 + 2 * 61
+        assert math.isfinite(err.value.best)
 
     def test_validation(self):
         with pytest.raises(ValueError):

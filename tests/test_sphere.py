@@ -1,11 +1,14 @@
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
+from obtri import specfun
 from obtri.geometry import classify_batch
+from obtri.specfun import NumericalError
 from obtri.sphere import (
     asymptotic_sphere,
     obtuse_given_angle,
@@ -104,6 +107,20 @@ class TestObtuseProbSphereFixtures:
     def test_d5_fixture_is_17_over_70(self):
         row = next(r for r in self.ROWS if r["d"] == 5)
         assert row["expected"] == 17 / 70
+
+
+class TestObtuseProbSphereHighDimension:
+    def test_d140_returns_or_raises_quickly(self):
+        # Past d ~ 125 the integrand's roundoff keeps the adaptive quadrature
+        # bisecting; the evaluation budget turns that hang into an error.
+        start = time.perf_counter()
+        try:
+            value = obtuse_prob_sphere(140)
+        except NumericalError as exc:
+            assert exc.context["evaluations"] >= specfun.MAX_EVALUATIONS
+            value = exc.best
+        assert time.perf_counter() - start < 60.0
+        assert 0.0 < value < obtuse_prob_sphere(120)
 
 
 class TestAsymptoticSphere:
