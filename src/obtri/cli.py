@@ -8,12 +8,15 @@ Subcommands map onto the library modules:
   mc          Monte Carlo estimate for a distribution spec (JSON file)
   fixedpoint  fixed-point acute probability: optimum or a scan (CSV)
   search      simulated annealing for minimal non-acute configurations
+  selfsimilar Monte Carlo for the nested-cap construction, by shallow count
   replay      re-run a subcommand from a saved manifest
 
 Every run emits a manifest (subcommand, parameters, seed, version,
-timestamp) inline with its results; seeded paths are bit-reproducible from
-the manifest.  Exit codes: 0 success, 2 usage error, 3 numerical failure,
-4 invariant violation (a result contradicting a proven bound).
+timestamp) inline with its results.  The parameters are the subcommand's
+parsed options, without the output destinations; replay feeds them back
+through the same parser, so every manifest replays and seeded paths are
+bit-reproducible from it.  Exit codes: 0 success, 2 usage error, 3 numerical
+failure, 4 invariant violation (a result contradicting a proven bound).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from obtri import __version__
 from obtri.bounds import asymptotic_bound, limit_bound, naive_bound, records_to_csv
 from obtri.constructions import (
     DistributionSpec,
-    build_sampler,
+    estimate_spec,
     fixed_point_scan,
     maximize_acute,
     mc_self_similar,
@@ -37,7 +40,6 @@ from obtri.constructions import (
     ArcTripleParams,
 )
 from obtri.geometry import DEFAULT_TOL
-from obtri.mc import estimate
 from obtri.search import InvariantViolation, SearchParams, search_min
 from obtri.specfun import NumericalError
 from obtri.sphere import asymptotic_sphere, obtuse_prob_sphere
@@ -60,11 +62,18 @@ def _default_workers() -> int:
         return 1
 
 
-def _manifest(subcommand: str, params: dict, seed: int | None) -> dict:
+# Namespace entries that are not parameters of the run: the subcommand and its
+# handler, the help flag, the seed (the manifest's own field) and the places
+# the output goes.
+_NOT_PARAMS = ("command", "func", "help", "seed", "output", "append_csv")
+
+
+def _manifest(args) -> dict:
+    """The manifest of a run: its parsed options, as the command left them."""
     return {
-        "subcommand": subcommand,
-        "params": params,
-        "seed": seed,
+        "subcommand": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -74,9 +83,16 @@ def _resolve_seed(seed: int | None) -> int:
     return secrets.randbits(63) if seed is None else seed
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+def _write(args, result: dict | str) -> None:
+    """Write a command's result with its manifest: JSON results as a
+    ``{"manifest", "result"}`` document, CSV text with a trailing manifest line."""
+    manifest = _manifest(args)
+    if isinstance(result, str):
+        text = f"{result}{MANIFEST_PREFIX}{json.dumps(manifest)}\n"
+    else:
+        text = json.dumps({"manifest": manifest, "result": result}, indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -88,25 +104,21 @@ def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def cmd_bound(args) -> int:
+# Each command returns its result (a dict for JSON, or CSV text) for _write.
+# A command that resolves its seed or loads its spec stores the value in args,
+# so that the manifest records what actually ran.
+def cmd_bound(args) -> dict | str:
     result = limit_bound(args.dim, args.n_max)
-    manifest = _manifest("bound", {"dim": args.dim, "n_max": args.n_max,
-                                   "format": args.format}, None)
-    if args.format == "csv":
-        text = records_to_csv(result.records)
-        text += f"{MANIFEST_PREFIX}{json.dumps(manifest)}\n"
-        _emit(text, args.output)
-    else:
-        payload = {"manifest": manifest, "result": result.summary()}
-        _emit(json.dumps(payload, indent=2), args.output)
     if not args.output:
         sys.stderr.write(
             f"d={args.dim}: lower bound {_fmt6(float(result.lower_bound))}"
             f" (asymptotic {_fmt6(float(asymptotic_bound(args.dim)))})\n")
-    return EXIT_OK
+    if args.format == "csv":
+        return records_to_csv(result.records)
+    return result.summary()
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> str:
     lo, hi = args.dims
     lines = ["d,base_n,n_max,lower_bound,asymptotic,naive"]
     for d in range(lo, hi + 1):
@@ -116,98 +128,58 @@ def cmd_table(args) -> int:
             f"{d},{res.base_n},{args.n_max},{float(res.lower_bound)!r},"
             f"{float(asymptotic_bound(d))!r},{naive!r}"
         )
-    text = "\n".join(lines) + "\n"
-    text += f"{MANIFEST_PREFIX}{json.dumps(_manifest('table', {'dims': list(args.dims), 'n_max': args.n_max}, None))}\n"
-    _emit(text, args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_sphere(args) -> int:
-    quad = obtuse_prob_sphere(args.dim, args.tol)
-    asym = asymptotic_sphere(args.dim)
-    payload = {
-        "manifest": _manifest(
-            "sphere",
-            {"dim": args.dim, "tol": args.tol, "mc_samples": args.mc_samples},
-            args.seed,
-        ),
-        "result": {"d": args.dim, "quadrature": quad, "asymptotic": asym, "mc": None},
-    }
+def cmd_sphere(args) -> dict:
+    result = {"d": args.dim, "quadrature": obtuse_prob_sphere(args.dim, args.tol),
+              "asymptotic": asymptotic_sphere(args.dim), "mc": None}
     if args.mc_samples:
-        seed = _resolve_seed(args.seed)
-        payload["manifest"]["seed"] = seed
+        args.seed = _resolve_seed(args.seed)
         spec = DistributionSpec(kind="sphere", params={"d": args.dim})
-        est = estimate(build_sampler(spec), args.mc_samples, seed,
-                       workers=args.workers, spec=json.loads(spec.to_json()))
-        payload["result"]["mc"] = est.to_dict()
-    _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK
+        result["mc"] = estimate_spec(spec, args.mc_samples, args.seed,
+                                     workers=args.workers).to_dict()
+    return result
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> dict:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = DistributionSpec.from_json(fh.read())
-    seed = _resolve_seed(args.seed)
-    sampler = build_sampler(spec)
-    est = estimate(sampler, args.samples, seed, tol=args.tol,
-                   workers=args.workers, spec=json.loads(spec.to_json()))
-    payload = {
-        "manifest": _manifest(
-            "mc",
-            {"spec": json.loads(spec.to_json()), "samples": args.samples,
-             "tol": args.tol, "workers": args.workers},
-            seed,
-        ),
-        "result": est.to_dict(),
-    }
-    text = json.dumps(payload, indent=2)
+    args.spec = json.loads(spec.to_json())
+    args.seed = _resolve_seed(args.seed)
+    est = estimate_spec(spec, args.samples, args.seed, tol=args.tol, workers=args.workers)
     if args.append_csv:
-        row = (f"{spec.kind},{args.samples},{seed},{est.p_hat!r},"
+        row = (f"{spec.kind},{args.samples},{args.seed},{est.p_hat!r},"
                f"{est.ci95[0]!r},{est.ci95[1]!r}\n")
         with open(args.append_csv, "a", encoding="utf-8") as fh:
             fh.write(row)
-    _emit(text, args.output)
-    return EXIT_OK
+    return est.to_dict()
 
 
-def cmd_fixedpoint(args) -> int:
+def cmd_fixedpoint(args) -> dict | str:
     if args.scan:
         lines = ["p,acute,obtuse"]
         for p, x in fixed_point_scan(args.scan_points):
             lines.append(f"{p!r},{x!r},{1.0 - x!r}")
-        text = "\n".join(lines) + "\n"
-        text += f"{MANIFEST_PREFIX}{json.dumps(_manifest('fixedpoint', {'scan_points': args.scan_points}, None))}\n"
-        _emit(text, args.output)
-        return EXIT_OK
+        return "\n".join(lines) + "\n"
     opt = maximize_acute()
-    payload = {
-        "manifest": _manifest("fixedpoint", {"optimize": True}, None),
-        "result": opt.to_dict(),
-    }
-    _emit(json.dumps(payload, indent=2), args.output)
     if not args.output:
         sys.stderr.write(
             f"p* = {_fmt6(opt.p)}, acute = {_fmt6(opt.acute)}, obtuse = {_fmt6(opt.obtuse)}\n")
-    return EXIT_OK
+    return opt.to_dict()
 
 
-def cmd_search(args) -> int:
-    seed = _resolve_seed(args.seed)
+def cmd_search(args) -> dict:
+    args.seed = _resolve_seed(args.seed)
     params = SearchParams(
         n=args.n, d=args.dim, iterations=args.iterations, restarts=args.restarts,
-        seed=seed, mode=args.mode, tol=args.tol,
+        seed=args.seed, mode=args.mode, tol=args.tol,
     )
-    result = search_min(params)
-    payload = {
-        "manifest": _manifest("search", params.to_dict(), seed),
-        "result": json.loads(result.to_json()),
-    }
-    _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK
+    return json.loads(search_min(params).to_json())
 
 
-def cmd_selfsimilar(args) -> int:
-    seed = _resolve_seed(args.seed)
+def cmd_selfsimilar(args) -> dict:
+    args.seed = _resolve_seed(args.seed)
     arc_args = (args.arc_alpha, args.arc_delta, args.arc_eps)
     if any(v is not None for v in arc_args) and not all(v is not None for v in arc_args):
         raise ValueError("--arc-alpha, --arc-delta and --arc-eps must be given together")
@@ -215,16 +187,7 @@ def cmd_selfsimilar(args) -> int:
     if all(v is not None for v in arc_args):
         kwargs["arc"] = ArcTripleParams(alpha=args.arc_alpha, delta=args.arc_delta,
                                         eps=args.arc_eps)
-    params = SelfSimilarParams(**kwargs)
-    report = mc_self_similar(params, args.samples, seed)
-    payload = {
-        "manifest": _manifest("selfsimilar",
-                              {"p": args.p, "samples": args.samples,
-                               "arc": params.arc.to_dict()}, seed),
-        "result": report.to_dict(),
-    }
-    _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK
+    return mc_self_similar(SelfSimilarParams(**kwargs), args.samples, args.seed).to_dict()
 
 
 def _load_manifest(path: str) -> dict:
@@ -238,50 +201,51 @@ def _load_manifest(path: str) -> dict:
         lines = [ln for ln in text.splitlines() if ln.startswith(MANIFEST_PREFIX)]
         if not lines:
             raise ValueError(f"{path} is neither JSON nor a CSV with a manifest line") from None
-        return json.loads(lines[-1][len(MANIFEST_PREFIX):])
-    return saved.get("manifest", saved)
+        saved = json.loads(lines[-1][len(MANIFEST_PREFIX):])
+    manifest = saved.get("manifest", saved) if isinstance(saved, dict) else None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} holds no manifest object")
+    return manifest
 
 
 def cmd_replay(args) -> int:
+    """Re-run a saved manifest through the saved subcommand's own parser, so
+    every recorded value is parsed and validated again."""
     manifest = _load_manifest(args.manifest)
-    sub = manifest["subcommand"]
-    params = manifest["params"]
-    seed = manifest.get("seed")
-    argv = [sub]
-    if sub == "bound":
-        argv += ["--dim", str(params["dim"]), "--n-max", str(params["n_max"]),
-                 "--format", params.get("format", "json")]
-    elif sub == "table":
-        argv += ["--dims", f"{params['dims'][0]}..{params['dims'][1]}",
-                 "--n-max", str(params["n_max"])]
-    elif sub == "sphere":
-        argv += ["--dim", str(params["dim"]), "--tol", repr(params["tol"])]
-        if params.get("mc_samples"):
-            argv += ["--mc-samples", str(params["mc_samples"]), "--seed", str(seed)]
-    elif sub == "mc":
-        argv += ["--samples", str(params["samples"]),
-                 "--seed", str(seed), "--tol", repr(params["tol"])]
-    elif sub == "search":
-        argv += ["--n", str(params["n"]), "--dim", str(params["d"]),
-                 "--iterations", str(params["iterations"]),
-                 "--restarts", str(params["restarts"]),
-                 "--mode", params["mode"], "--tol", repr(params["tol"]),
-                 "--seed", str(seed)]
-    else:
+    sub, params = manifest.get("subcommand"), manifest.get("params", {})
+    parser = args.parsers.get(sub)
+    if parser is None:
         raise ValueError(f"cannot replay subcommand {sub!r}")
-    if args.output:
-        argv += ["--output", args.output]
-    if sub != "mc":
-        return main(argv)
-    # The mc subcommand reads its spec from a file: write the saved one where
-    # asked, or else into a temporary directory, never the working directory.
-    # (Imported here: tempfile adds about 6 ms to every start of the command.)
+    unknown = sorted(set(params) - {a.dest for a in parser._actions if a.dest not in _NOT_PARAMS})
+    if unknown:
+        raise ValueError(f"manifest parameter {unknown[0]!r} is not an option of {sub!r}")
+    values = dict(params, seed=manifest.get("seed"))
+    # A dict-valued parameter (the mc spec) is replayed from a file: written
+    # where --spec asks, or else into a temporary directory, never the working
+    # directory.  (Imported here: tempfile adds about 6 ms to every start of
+    # the command.)
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        spec_path = args.spec or os.path.join(tmp, "spec.json")
-        with open(spec_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(params["spec"]))
-        return main(argv + ["--spec", spec_path])
+        argv = [sub]
+        for action in parser._actions:
+            value = values.get(action.dest)
+            if value is None or value is False:
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                argv.append(flag)
+            elif isinstance(value, dict):
+                path = args.spec or os.path.join(tmp, f"{action.dest}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(value))
+                argv += [flag, path]
+            elif action.type is _dims_range:
+                argv += [flag, _dims_text(value)]
+            else:
+                argv += [flag, repr(value) if isinstance(value, float) else str(value)]
+        if args.output:
+            argv += ["--output", args.output]
+        return main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixedpoint", help="self-similar fixed point: optimum or scan")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--optimize", action="store_true", default=True)
+    g.add_argument("--optimize", action="store_true", default=False,
+                   help="report the optimum (the mode whenever --scan is absent)")
     g.add_argument("--scan", action="store_true")
     p.add_argument("--scan-points", type=int, default=999)
     add_common(p, seeded=False)
@@ -356,12 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_selfsimilar)
 
+    replayable = dict(sub.choices)  # every subcommand above writes a manifest
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--spec", help="where to write the replayed spec file (mc only; "
                         "a temporary file when omitted)")
     add_common(p, seeded=False)
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=cmd_replay, parsers=replayable)
 
     return parser
 
@@ -377,11 +343,18 @@ def _dims_range(text: str) -> tuple[int, int]:
     return pair
 
 
+def _dims_text(pair) -> str:
+    """The inverse of _dims_range."""
+    return f"{pair[0]}..{pair[1]}"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_replay:
+            return cmd_replay(args)  # the replayed run writes its own output
+        _write(args, args.func(args))
+        return EXIT_OK
     except InvariantViolation as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT

@@ -56,13 +56,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from obtri.geometry import (
-    CLASS_ORDER,
     DEFAULT_TOL,
     TriangleClass,
+    class_counts,
     classify_batch,
     counts_from_codes,
 )
-from obtri.mc import SeedPolicy, wilson_interval
+from obtri.mc import SeedPolicy, estimate, wilson_interval
 from obtri.sphere import sample_sphere
 
 logger = logging.getLogger(__name__)
@@ -644,7 +644,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
         n_at_shallow = (l0 == shallow).astype(np.int64) + (l1 == shallow) + (l2 == shallow)
         cat_class += np.bincount(4 * (n_at_shallow - 1) + codes, minlength=12).reshape(3, 4)
     totals = cat_class.sum(axis=0)
-    counts = {cls: int(totals[i]) for i, cls in enumerate(CLASS_ORDER)}
+    counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]
     obtuse = counts[TriangleClass.OBTUSE]
     cat_n = cat_class.sum(axis=1)
@@ -790,7 +790,6 @@ def estimate_spec(spec: DistributionSpec, samples: int, seed: int, tol: float = 
     Convenience wrapper: builds the sampler and runs obtri.mc.estimate with
     the spec recorded in the result.
     """
-    from obtri.mc import estimate
     return estimate(build_sampler(spec), samples, seed, tol, workers=workers,
                     spec=json.loads(spec.to_json()))
 

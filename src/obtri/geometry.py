@@ -202,9 +202,13 @@ def classify_triangle(a: Sequence[float], b: Sequence[float], c: Sequence[float]
     return CLASS_ORDER[code]
 
 
+def class_counts(binc: Sequence[int]) -> dict[TriangleClass, int]:
+    """The class dict of a length-4 count vector indexed like ``CLASS_ORDER``."""
+    return {cls: int(n) for cls, n in zip(CLASS_ORDER, binc, strict=True)}
+
+
 def counts_from_codes(codes: np.ndarray) -> dict[TriangleClass, int]:
-    binc = np.bincount(codes.ravel(), minlength=4)
-    return {cls: int(binc[i]) for i, cls in enumerate(CLASS_ORDER)}
+    return class_counts(np.bincount(codes.ravel(), minlength=4))
 
 
 def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[TriangleClass, int]:
@@ -219,7 +223,7 @@ def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[Trian
         a, b, c = (pts.take(block[:, col], axis=0) for col in range(3))
         codes = classify_batch(a, b, c, tol)
         binc += np.bincount(codes, minlength=4)
-    return {cls: int(binc[i]) for i, cls in enumerate(CLASS_ORDER)}
+    return class_counts(binc)
 
 
 def count_nonacute(config: Configuration, tol: float = DEFAULT_TOL) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from obtri.geometry import DEFAULT_TOL, TriangleClass, classify_batch
+from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts, classify_batch
 from obtri.specfun import norm_ppf
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -161,8 +161,7 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
                 range(n_shards),
             ))
     total = np.sum(np.stack(parts), axis=0)
-    counts = {cls: int(total[i]) for i, cls in enumerate(
-        (TriangleClass.ACUTE, TriangleClass.RIGHT, TriangleClass.OBTUSE, TriangleClass.DEGENERATE))}
+    counts = class_counts(total)
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)
     return Estimate(

@@ -180,63 +180,21 @@ class TestNumericalFailureExit:
         assert "numerical failure" in err
 
 
-class TestReplay:
-    def test_replay_mc(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 2}}))
-        first = tmp_path / "first.json"
-        code, _, _ = run(["mc", "--spec", str(spec), "--samples", "5000",
-                          "--seed", "42", "--output", str(first)], capsys)
-        assert code == EXIT_OK
-        manifest = tmp_path / "first.json"
-        replay_spec = tmp_path / "replayed_spec.json"
-        second = tmp_path / "second.json"
-        code, _, _ = run(["replay", "--manifest", str(manifest),
-                          "--spec", str(replay_spec), "--output", str(second)], capsys)
-        assert code == EXIT_OK
-        a = json.loads(first.read_text())["result"]["counts"]
-        b = json.loads(second.read_text())["result"]["counts"]
-        assert a == b
-
-
-    def test_replay_mc_without_spec_leaves_cwd_alone(self, tmp_path, monkeypatch, capsys):
-        work = tmp_path / "work"
-        work.mkdir()
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 3}}))
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
-        assert run(["mc", "--spec", str(spec), "--samples", "3000", "--seed", "7",
-                    "--output", str(first)], capsys)[0] == EXIT_OK
-        monkeypatch.chdir(work)
-        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)],
-                         capsys)
-        assert code == EXIT_OK
-        assert list(work.iterdir()) == []
-        assert json.loads(first.read_text())["result"] == json.loads(second.read_text())["result"]
-
-
 class TestReplayCsv:
-    @pytest.mark.parametrize("argv", [
-        ["table", "--dims", "4..6", "--n-max", "3000"],
-        ["bound", "--dim", "3", "--n-max", "3000", "--format", "csv"],
-    ])
-    def test_csv_body_byte_identical(self, argv, tmp_path, capsys):
-        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        assert run(argv + ["--output", str(first)], capsys)[0] == EXIT_OK
-        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)],
-                         capsys)
-        assert code == EXIT_OK
-        a = first.read_text().split("# manifest:")
-        b = second.read_text().split("# manifest:")
-        assert len(a) == len(b) == 2
-        assert a[0] == b[0]
-
     def test_text_without_manifest_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"
         path.write_text("d,n\n2,4\n")
         code, _, err = run(["replay", "--manifest", str(path)], capsys)
         assert code == EXIT_USAGE
         assert "manifest" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]\n", '{"manifest": 3}\n', "d,n\n# manifest: 7\n"])
+    def test_manifest_that_is_not_an_object_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "saved.out"
+        path.write_text(text)
+        code, _, err = run(["replay", "--manifest", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "no manifest object" in err
 
 
 class TestWorkersEnv:
@@ -285,3 +243,98 @@ class TestReplayKeepsTol:
         a, b = json.loads(first.read_text()), json.loads(second.read_text())
         assert a["manifest"]["params"]["tol"] == b["manifest"]["params"]["tol"] == tol
         assert a["result"] == b["result"]
+
+
+# One saved run per subcommand and mode; "SPEC" stands for a spec file path.
+ROUND_TRIPS = {
+    "bound-json": ["bound", "--dim", "3", "--n-max", "3000"],
+    "bound-csv": ["bound", "--dim", "3", "--n-max", "3000", "--format", "csv"],
+    "table": ["table", "--dims", "4..6", "--n-max", "3000"],
+    "sphere": ["sphere", "--dim", "3", "--tol", "1e-06"],
+    "sphere-mc": ["sphere", "--dim", "3", "--mc-samples", "3000", "--seed", "5"],
+    "mc": ["mc", "--spec", "SPEC", "--samples", "3000", "--seed", "7"],
+    "fixedpoint-optimize": ["fixedpoint"],
+    "fixedpoint-scan": ["fixedpoint", "--scan", "--scan-points", "9"],
+    "search": ["search", "--n", "6", "--dim", "2", "--iterations", "300", "--restarts", "2",
+               "--seed", "17", "--tol", "0.05"],
+    "selfsimilar": ["selfsimilar", "--p", "0.8051875", "--samples", "3000", "--seed", "4"],
+    "selfsimilar-arc": ["selfsimilar", "--p", "0.8051875", "--samples", "3000", "--seed", "4",
+                        "--arc-alpha", "0.0068", "--arc-delta", "0.0014", "--arc-eps", "0.3"],
+}
+
+
+def split_saved(text):
+    """(result text, manifest) of a saved JSON or CSV output."""
+    if text.startswith("{"):
+        saved = json.loads(text)
+        return json.dumps(saved["result"]), saved["manifest"]
+    parts = text.split("# manifest: ")
+    assert len(parts) == 2 and parts[1].endswith("\n") and "\n" not in parts[1][:-1]
+    return parts[0], json.loads(parts[1])
+
+
+class TestReplayRoundTrip:
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_replay_reproduces_result_and_manifest(self, case, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 3}}))
+        argv = [str(spec) if a == "SPEC" else a for a in ROUND_TRIPS[case]]
+        first, second = tmp_path / "first.out", tmp_path / "second.out"
+        assert run(argv + ["--output", str(first)], capsys)[0] == EXIT_OK
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, _, _ = run(["replay", "--manifest", str(first), "--output", str(second)], capsys)
+        assert code == EXIT_OK
+        assert list(work.iterdir()) == []
+        result_a, manifest_a = split_saved(first.read_text())
+        result_b, manifest_b = split_saved(second.read_text())
+        assert result_a == result_b
+        assert manifest_a.pop("timestamp") and manifest_b.pop("timestamp")
+        assert manifest_a == manifest_b
+        assert manifest_a["subcommand"] == argv[0]
+        if "--tol" in argv:
+            assert manifest_a["params"]["tol"] == float(argv[argv.index("--tol") + 1])
+
+
+class TestReplay:
+    def test_replay_mc(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 2}}))
+        first = tmp_path / "first.json"
+        code, _, _ = run(["mc", "--spec", str(spec), "--samples", "5000",
+                          "--seed", "42", "--output", str(first)], capsys)
+        assert code == EXIT_OK
+        replay_spec = tmp_path / "replayed_spec.json"
+        second = tmp_path / "second.json"
+        code, _, _ = run(["replay", "--manifest", str(first),
+                          "--spec", str(replay_spec), "--output", str(second)], capsys)
+        assert code == EXIT_OK
+        assert json.loads(replay_spec.read_text()) == {"kind": "sphere", "params": {"d": 2}}
+        a = json.loads(first.read_text())["result"]["counts"]
+        b = json.loads(second.read_text())["result"]["counts"]
+        assert a == b
+
+    def save(self, tmp_path, manifest):
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps({"manifest": manifest, "result": {}}))
+        return str(path)
+
+    @pytest.mark.parametrize("sub", ["frobnicate", "replay"])
+    def test_unknown_subcommand(self, sub, tmp_path, capsys):
+        path = self.save(tmp_path, {"subcommand": sub, "params": {"manifest": "x.json"},
+                                    "seed": None})
+        code, out, err = run(["replay", "--manifest", path], capsys)
+        assert code == EXIT_USAGE
+        assert repr(sub) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["d", "output", "seed"])
+    def test_parameter_the_parser_lacks(self, key, tmp_path, capsys):
+        params = {"n": 4, "dim": 2, "iterations": 50, "restarts": 1,
+                  "mode": "non-acute", "tol": 1e-12, key: 2}
+        path = self.save(tmp_path, {"subcommand": "search", "params": params, "seed": 3})
+        code, out, err = run(["replay", "--manifest", path], capsys)
+        assert code == EXIT_USAGE
+        assert repr(key) in err
+        assert out == ""
