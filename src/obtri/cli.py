@@ -53,15 +53,6 @@ EXIT_INVARIANT = 4
 MANIFEST_PREFIX = "# manifest: "
 
 
-def _default_workers() -> int:
-    """Worker count for MC sharding; OBTRI_WORKERS overrides (not load-bearing:
-    results are identical at any worker count)."""
-    try:
-        return max(1, int(os.environ.get("OBTRI_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 # Namespace entries that are not parameters of the run: the subcommand and its
 # handler, the help flag, the seed (the manifest's own field) and the places
 # the output goes.
@@ -280,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--mc-samples", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_sphere)
 
@@ -288,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to DistributionSpec JSON")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--append-csv", help="append a sweep row to this CSV file")
     add_common(p)
     p.set_defaults(func=cmd_mc)

@@ -55,14 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from obtri.geometry import (
-    DEFAULT_TOL,
-    TriangleClass,
-    class_counts,
-    classify_batch,
-    counts_from_codes,
-)
-from obtri.mc import SeedPolicy, estimate, wilson_interval
+from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
+from obtri.mc import _count_strata, estimate, wilson_interval
 from obtri.sphere import sample_sphere
 
 logger = logging.getLogger(__name__)
@@ -119,10 +113,6 @@ class Arc:
     base_angle: float  # polar angle of vertex as seen from center
     length: float
 
-    @property
-    def angular_extent(self) -> float:
-        return self.length / self.radius
-
     def points(self, u: np.ndarray) -> np.ndarray:
         """Points at signed arc-length offsets u from the vertex, shape (n, 2)."""
         return arc_points(np.asarray(u, dtype=float), self.radius, self.base_angle,
@@ -159,10 +149,6 @@ class ArcTripleGeometry:
     b: tuple[float, float]
     c: tuple[float, float]
     arcs: dict  # keys "A", "C", "B"
-
-    @property
-    def vertices(self) -> dict:
-        return {"A": self.a, "B": self.b, "C": self.c}
 
 
 def arc_triple_geometry(params: ArcTripleParams) -> ArcTripleGeometry:
@@ -251,17 +237,6 @@ class ArcTripleSampler:
         return out
 
 
-def pattern_label(arcs: tuple[str, str, str]) -> str:
-    """Canonical multiset label: AAA, ABC, or doubled-letter-first (e.g. BBA)."""
-    counts = {name: arcs.count(name) for name in set(arcs)}
-    if len(counts) == 1:
-        return arcs[0] * 3
-    if len(counts) == 3:
-        return "ABC"
-    doubled = next(k for k, v in counts.items() if v == 2)
-    single = next(k for k, v in counts.items() if v == 1)
-    return doubled * 2 + single
-
 # The ten multiset patterns with their probabilities under uniform arc choice.
 PATTERNS = (
     ("AAA", 1.0 / 27.0), ("BBB", 1.0 / 27.0), ("CCC", 1.0 / 27.0),
@@ -298,16 +273,6 @@ class PatternReport:
     def overall_obtuse(self) -> float:
         return sum(r.weight * r.obtuse_rate for r in self.rows)
 
-    @property
-    def acute_limit_gap(self) -> float:
-        return self.overall_acute - ACUTE_FRACTION_LIMIT
-
-    def row(self, pattern: str) -> PatternRow:
-        for r in self.rows:
-            if r.pattern == pattern:
-                return r
-        raise KeyError(pattern)
-
     def to_csv(self) -> str:
         lines = ["pattern,weight,n,acute,right,obtuse,degenerate"]
         for r in self.rows:
@@ -328,14 +293,18 @@ def arc_triple_pattern_report(params: ArcTripleParams, samples_per_pattern: int,
     estimate of the overall acute/obtuse probability (stratification by
     pattern removes the multinomial noise of arc choice).
     """
+    if samples_per_pattern < 1:
+        raise ValueError(f"samples_per_pattern must be >= 1, got {samples_per_pattern}")
     sampler = ArcTripleSampler(params)
-    policy = SeedPolicy(master_seed=seed, shard_size=max(1, samples_per_pattern))
+
+    def draw(rng, shard, n):  # shard i is pattern i, stratum i
+        return sampler.sample_pattern(rng, PATTERNS[shard][0], n).reshape(3 * n, 2), shard
+
+    table = _count_strata(draw, 2, len(PATTERNS), len(PATTERNS) * samples_per_pattern, seed,
+                          tol, samples_per_pattern)
     rows = []
-    for idx, (pattern, weight) in enumerate(PATTERNS):
-        rng = policy.rng_for_shard(idx)
-        tri = sampler.sample_pattern(rng, pattern, samples_per_pattern)
-        codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
-        counts = counts_from_codes(codes)
+    for (pattern, weight), row in zip(PATTERNS, table):
+        counts = class_counts(row)
         rows.append(PatternRow(
             pattern=pattern,
             weight=weight,
@@ -626,23 +595,18 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     class instead of flipping randomly between acute and obtuse, which keeps
     the obtuse fraction clean.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     sampler = SelfSimilarSampler(params)
-    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
-    n_shards = (samples + shard_size - 1) // shard_size
-    cat_class = np.zeros((3, 4), dtype=np.int64)  # rows: shallow-count 1,2,3
-    for shard in range(n_shards):
-        count = min(shard_size, samples - shard * shard_size)
-        rng = policy.rng_for_shard(shard)
-        pts, levels = sampler.sample_with_levels(rng, 3 * count)
-        tri = pts.reshape(count, 3, 3)
-        codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+
+    def draw(rng, shard, n):  # stratum: points at the shallowest level, minus one
+        pts, levels = sampler.sample_with_levels(rng, 3 * n)
         # Column-wise: numpy reduces a length-3 axis far slower.
-        l0, l1, l2 = levels.reshape(count, 3).T
+        l0, l1, l2 = levels.reshape(n, 3).T
         shallow = np.minimum(np.minimum(l0, l1), l2)
         n_at_shallow = (l0 == shallow).astype(np.int64) + (l1 == shallow) + (l2 == shallow)
-        cat_class += np.bincount(4 * (n_at_shallow - 1) + codes, minlength=12).reshape(3, 4)
+        return pts, n_at_shallow - 1
+
+    # Rows: shallow count 1, 2, 3.
+    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size)
     totals = cat_class.sum(axis=0)
     counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]

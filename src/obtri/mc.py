@@ -1,10 +1,20 @@
 """Reproducible Monte Carlo estimation of triangle-class probabilities.
 
-A run is split into shards of ``shard_size`` triples.  Shard ``i`` draws all
-of its randomness from a substream seeded by ``(master_seed, i)``, so the
-class counts are bit-identical for a fixed (sampler, samples, seed) no
+One engine, ``_count_strata``, runs every Monte Carlo path in obtri.  A run
+is split into shards of ``shard_size`` triples.  Shard ``i`` draws all of
+its randomness from a substream seeded by ``(master_seed, i)``, so the
+counts are bit-identical for a fixed (draw, samples, seed, shard_size) no
 matter how many workers process the shards.  Reduction is exact integer
 addition and therefore order-independent.
+
+The stratum contract: a caller supplies ``draw(rng, shard, n)`` returning
+the ``3n`` points of ``n`` triples, shape ``(3n, dim)``, and each triple's
+stratum in ``[0, S)`` (an array of length ``n``, or one int for the whole
+shard).  The engine classifies the triples and returns an ``S x 4`` int64
+matrix: row ``s`` holds the class counts, in ``CLASS_ORDER``, of the
+triples in stratum ``s``.  ``estimate`` uses one stratum; the self-similar
+report stratifies by the number of points at a triple's shallowest level,
+and the arc-pattern report gives each of its patterns a shard and a stratum.
 
 Any object with a ``dim`` attribute and a ``sample(rng, n) -> (n, dim)``
 method can be estimated; the distribution constructions in
@@ -95,9 +105,6 @@ class Estimate:
         if total != self.samples:
             raise ValueError(f"class counts sum to {total}, expected {self.samples}")
 
-    def count(self, cls: TriangleClass) -> int:
-        return self.counts[cls]
-
     def to_dict(self) -> dict:
         return {
             "samples": self.samples,
@@ -114,26 +121,40 @@ class Estimate:
         return json.dumps(self.to_dict())
 
 
-def _classify_shard(sampler, policy: SeedPolicy, shard: int, n_triples: int, tol: float) -> np.ndarray:
-    rng = policy.rng_for_shard(shard)
-    try:
-        pts = sampler.sample(rng, 3 * n_triples)
-    except Exception as exc:  # re-raise with position information
-        raise SamplerError(
-            f"sampler failed in shard {shard} (triples {shard * policy.shard_size}..): {exc}",
-            shard=shard,
-            sample_offset=shard * policy.shard_size,
-        ) from exc
-    pts = np.asarray(pts, dtype=float)
-    if pts.shape != (3 * n_triples, sampler.dim):
-        raise SamplerError(
-            f"sampler returned shape {pts.shape}, expected {(3 * n_triples, sampler.dim)}",
-            shard=shard,
-            sample_offset=shard * policy.shard_size,
-        )
-    tri = pts.reshape(n_triples, 3, sampler.dim)
-    codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
-    return np.bincount(codes, minlength=4)
+def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: float,
+                  shard_size: int, workers: int = 1) -> np.ndarray:
+    """The ``strata x 4`` class counts of ``samples`` triples from ``draw``
+    (see the module docstring for the contract)."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
+    n_shards = (samples + shard_size - 1) // shard_size
+
+    def count_shard(shard: int) -> np.ndarray:
+        offset = shard * shard_size
+        n = min(shard_size, samples - offset)
+        rng = policy.rng_for_shard(shard)
+        try:
+            pts, stratum = draw(rng, shard, n)
+        except Exception as exc:  # re-raise with position information
+            raise SamplerError(f"sampler failed in shard {shard} (triples {offset}..): {exc}",
+                               shard=shard, sample_offset=offset) from exc
+        pts = np.asarray(pts, dtype=float)
+        if pts.shape != (3 * n, dim):
+            raise SamplerError(f"sampler returned shape {pts.shape}, expected {(3 * n, dim)}",
+                               shard=shard, sample_offset=offset)
+        tri = pts.reshape(n, 3, dim)
+        codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+        return np.bincount(4 * np.asarray(stratum, dtype=np.intp) + codes, minlength=4 * strata)
+
+    if workers == 1:
+        parts = [count_shard(i) for i in range(n_shards)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(count_shard, range(n_shards)))
+    return np.sum(np.stack(parts), axis=0).reshape(strata, 4)
 
 
 def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
@@ -144,24 +165,11 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
     Bit-identical results for fixed (sampler, samples, seed, shard_size)
     regardless of ``workers``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
-    n_shards = (samples + shard_size - 1) // shard_size
-    sizes = [min(shard_size, samples - i * shard_size) for i in range(n_shards)]
+    def draw(rng, shard, n):
+        return sampler.sample(rng, 3 * n), 0
 
-    if workers == 1:
-        parts = [_classify_shard(sampler, policy, i, sizes[i], tol) for i in range(n_shards)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda i: _classify_shard(sampler, policy, i, sizes[i], tol),
-                range(n_shards),
-            ))
-    total = np.sum(np.stack(parts), axis=0)
-    counts = class_counts(total)
+    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers)
+    counts = class_counts(table[0])
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)
     return Estimate(

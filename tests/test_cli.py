@@ -197,18 +197,6 @@ class TestReplayCsv:
         assert "no manifest object" in err
 
 
-class TestWorkersEnv:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("OBTRI_WORKERS", "4")
-        from obtri.cli import _default_workers
-        assert _default_workers() == 4
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("OBTRI_WORKERS", "lots")
-        from obtri.cli import _default_workers
-        assert _default_workers() == 1
-
-
 class TestReplaySearch:
     def test_replay_search_bit_identical(self, tmp_path, capsys):
         first = tmp_path / "first.json"

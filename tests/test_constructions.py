@@ -20,9 +20,9 @@ from obtri.constructions import (
     fixed_point_scan,
     maximize_acute,
     mc_self_similar,
-    pattern_label,
 )
 from obtri.geometry import TriangleClass, classify_batch, classify_triangle
+from obtri.mc import SamplerError
 
 # Parameters in the regime where every claimed pattern property is both
 # geometrically valid and numerically resolvable (see module docstring):
@@ -123,12 +123,6 @@ class TestArcTripleGeometry:
 
 
 class TestPatternLabel:
-    def test_labels(self):
-        assert pattern_label(("A", "A", "A")) == "AAA"
-        assert pattern_label(("A", "C", "B")) == "ABC"
-        assert pattern_label(("B", "A", "B")) == "BBA"
-        assert pattern_label(("C", "B", "C")) == "CCB"
-
     def test_weights_sum_to_one(self):
         assert sum(w for _, w in PATTERNS) == pytest.approx(1.0, abs=1e-15)
 
@@ -202,6 +196,11 @@ class TestPatternReport:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0].startswith("pattern,")
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("samples_per_pattern", [0, -1])
+    def test_samples_per_pattern_validated(self, samples_per_pattern):
+        with pytest.raises(ValueError, match="samples_per_pattern must be >= 1"):
+            arc_triple_pattern_report(DEMO, samples_per_pattern, seed=5)
 
     def test_in_regime_schedule_converges_to_four_ninths(self):
         # Documented shrink schedule staying inside the validity regime
@@ -411,6 +410,23 @@ class TestMcSelfSimilar:
         a = mc_self_similar(SelfSimilarParams(p=0.8), 20_000, seed=46)
         b = mc_self_similar(SelfSimilarParams(p=0.8), 20_000, seed=46)
         assert a.counts == b.counts
+
+    def test_sampler_error_carries_shard_position(self, monkeypatch):
+        original = SelfSimilarSampler.sample_with_levels
+        calls = []
+
+        def fail_on_second_shard(self, rng, n):
+            calls.append(n)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return original(self, rng, n)
+
+        monkeypatch.setattr(SelfSimilarSampler, "sample_with_levels", fail_on_second_shard)
+        with pytest.raises(SamplerError) as err:
+            mc_self_similar(SelfSimilarParams(p=0.8), 250, seed=47, shard_size=100)
+        assert err.value.shard == 1
+        assert err.value.sample_offset == 100
+        assert isinstance(err.value.__cause__, RuntimeError)
 
 
 class TestSpecRoundTrips:

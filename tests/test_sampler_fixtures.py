@@ -2,9 +2,10 @@
 
 ``tests/data/sampler_fixtures.json`` holds SHA-256 digests of sampler output
 and kernel output, and seeded Monte Carlo results, all taken from the code
-before any of the sampling speed-ups.  A faster sampler or kernel must
-reproduce every digest: the same RNG draws, in the same order, through the
-same per-element formulas.
+before any of the sampling speed-ups; the arc-pattern report entry was
+taken before that report moved onto the shard engine of ``obtri.mc``.  A
+faster sampler or kernel must reproduce every digest: the same RNG draws, in
+the same order, through the same per-element formulas.
 
 Regenerate (only for a deliberate, flagged change of the draw order or of a
 formula) with ``PYTHONPATH=src python tests/test_sampler_fixtures.py``.
@@ -19,7 +20,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from obtri.constructions import DistributionSpec, SelfSimilarParams, build_sampler, mc_self_similar
+from obtri.constructions import (
+    ArcTripleParams,
+    DistributionSpec,
+    SelfSimilarParams,
+    arc_triple_pattern_report,
+    build_sampler,
+    mc_self_similar,
+)
 from obtri.geometry import _triangle_area, measure_batch
 from obtri.mc import estimate
 
@@ -65,6 +73,19 @@ SIZES = (1, 7, 3 * 4099, 3 * 65536 + 1)
 ESTIMATE_CASES = [name for name, _, method in SAMPLER_CASES if method == "sample"]
 ESTIMATE_SAMPLES = 3 * 4099
 ESTIMATE_SHARD = 4096  # three full shards and a partial one
+
+PATTERN_METHOD = (
+    "Generated by running this file (PYTHONPATH=src python tests/test_sampler_fixtures.py) "
+    "on commit 33576fc, before the pattern report moved onto the shared shard engine of "
+    "obtri.mc; every other entry of the file regenerated unchanged in that run. "
+    "Each report is arc_triple_pattern_report(params, samples_per_pattern, seed) at the "
+    "default tolerance, stored as the lines of its to_csv() text: a header, then one row "
+    "per pattern in pattern order with its weight, samples and four class counts. "
+    "Pattern i draws from SeedSequence((seed, i))."
+)
+PATTERN_PARAMS = {"bench": ARC_BENCH, "pinned": ARC_PINNED}
+PATTERN_SIZES = (1, 7, 4099)
+PATTERN_CASES = [(name, seed, n) for name in PATTERN_PARAMS for seed in SEEDS for n in PATTERN_SIZES]
 
 
 def _digest(arrays, rng) -> str:
@@ -132,6 +153,11 @@ def self_similar_report(seed: int) -> dict:
     return json.loads(json.dumps(report.to_dict()))
 
 
+def pattern_rows(name: str, seed: int, n: int) -> list[str]:
+    report = arc_triple_pattern_report(ArcTripleParams(**PATTERN_PARAMS[name]), n, seed)
+    return report.to_csv().splitlines()
+
+
 def build_fixtures() -> dict:
     specs = {name: (spec, method) for name, spec, method in SAMPLER_CASES}
     return {
@@ -151,6 +177,11 @@ def build_fixtures() -> dict:
         "mc_self_similar": {
             "p": P_STAR, "samples": ESTIMATE_SAMPLES, "shard_size": ESTIMATE_SHARD,
             "reports": {f"seed{s}": self_similar_report(s) for s in SEEDS},
+        },
+        "arc_triple_pattern_report": {
+            "method": PATTERN_METHOD, "params": PATTERN_PARAMS,
+            "reports": {f"{name}_seed{s}_n{n}": pattern_rows(name, s, n)
+                        for name, s, n in PATTERN_CASES},
         },
     }
 
@@ -192,6 +223,13 @@ def test_estimate_counts(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mc_self_similar_report(seed):
     assert self_similar_report(seed) == SAVED["mc_self_similar"]["reports"][f"seed{seed}"]
+
+
+@pytest.mark.parametrize("name, seed, n", PATTERN_CASES)
+def test_arc_triple_pattern_report(name, seed, n):
+    saved = SAVED["arc_triple_pattern_report"]
+    assert saved["params"][name] == PATTERN_PARAMS[name]
+    assert pattern_rows(name, seed, n) == saved["reports"][f"{name}_seed{seed}_n{n}"]
 
 
 if __name__ == "__main__":

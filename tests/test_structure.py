@@ -1,0 +1,74 @@
+"""Structural guards on the package source, read with ``ast``.
+
+Every Monte Carlo path runs through the one shard engine in ``obtri.mc``:
+no other module seeds shard substreams or starts a worker pool.  And no
+module keeps an import it does not use (names listed in ``__all__`` count
+as used, so the package's re-exports are allowed).
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "obtri"
+MODULES = sorted(PACKAGE.glob("*.py"))
+ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name the module binds, reads, imports or reaches as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update((node.name.split(".")[0], node.name.split(".")[-1], node.asname))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus the strings listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+@pytest.mark.parametrize("name", ENGINE_ONLY)
+def test_shard_engine_names_only_in_mc(name):
+    holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
+    assert holders == ["mc.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
