@@ -20,7 +20,7 @@ from obtri.bounds import (
     asymptotic_bound,
     naive_bound,
 )
-from obtri.sphere import obtuse_given_angle, obtuse_prob_sphere, asymptotic_sphere, sample_sphere
+from obtri.sphere import obtuse_given_angle, obtuse_prob_sphere, asymptotic_sphere, laplace_sphere, sample_sphere
 from obtri.constructions import (
     ArcTripleParams,
     DistributionSpec,
@@ -49,6 +49,7 @@ __all__ = [
     "obtuse_given_angle",
     "obtuse_prob_sphere",
     "asymptotic_sphere",
+    "laplace_sphere",
     "sample_sphere",
     "ArcTripleParams",
     "DistributionSpec",

@@ -2,7 +2,7 @@
 
 Provides exactly what the spherical-cap model needs and nothing more:
 ``log_gamma``, the regularized incomplete beta function ``I_z(a, b)``, and an
-adaptive Simpson integrator for smooth integrands on a finite interval.
+adaptive Gauss-Kronrod integrator for smooth integrands on a finite interval.
 Everything here is plain Python floats; there are no external numerical
 dependencies, so results are reproducible bit-for-bit across platforms that
 implement IEEE-754 doubles.
@@ -177,24 +177,54 @@ class QuadratureResult:
     evaluations: int
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h * (fa + 4.0 * fm + fb) / 6.0
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK ``qk15``, Piessens et al.
+# 1983).  ``_XGK`` are the Kronrod abscissae from the outermost inwards; the
+# odd-indexed ones (0.949..., 0.741..., 0.405..., and the centre) are the
+# 7-point Gauss nodes, with weights ``_WG``.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG_CENTRE = 0.417959183673469387755102040816327
+_GK_NODES = 15
 
 
 # Integrand evaluations one ``integrate`` call may spend.  A noisy integrand
-# can fail both stopping criteria on ever smaller panels (the sphere
-# quadrature past d ~ 125), which would otherwise bisect for hours.  The
-# sphere quadrature needs 15,525 evaluations at d = 80 and 221,705 at d = 125.
+# can fail both stopping criteria on ever smaller panels, which would
+# otherwise bisect for hours.  The sphere quadrature needs 615 evaluations at
+# d = 80 and at most 855 for any d <= 1000.
 MAX_EVALUATIONS = 250_000
 
 
 def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 60) -> QuadratureResult:
-    """Adaptive Simpson integration of ``f`` over [lo, hi].
+    """Adaptive Gauss-Kronrod 7-15 integration of ``f`` over [lo, hi].
 
-    Bisects intervals until the classic Richardson criterion
-    |S(left)+S(right) − S(whole)| <= 15·(local tolerance) holds, then applies
-    the standard 1/15 correction.  The refinement rule is deterministic, so
-    the result does not depend on evaluation order.
+    Each panel is integrated by the 15-point Kronrod rule and the embedded
+    7-point Gauss rule; |K15 - G7| is the panel's error.  A panel is accepted
+    when that error is within its local tolerance, or at the roundoff floor
+    of the panel's absolute integral; otherwise it is bisected and each half
+    gets half the tolerance.  The refinement rule is deterministic, so the
+    result does not depend on evaluation order.
 
     Raises:
         ValueError: on invalid bounds or tolerance.
@@ -215,45 +245,48 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
     exhausted = [False]
 
     def ev(x: float) -> float:
-        evals[0] += 1
         y = f(x)
         if not math.isfinite(y):
             raise ValueError(f"integrand returned non-finite value {y!r} at x={x!r}")
         return y
 
-    def recurse(a: float, b: float, fa: float, fm: float, fb: float, whole: float, eps: float, depth: int):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = ev(lm)
-        frm = ev(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        # Second criterion: stop when delta is at the roundoff floor of the
-        # local panel values, where further bisection cannot help.
-        floor = 1e-15 * (abs(left) + abs(right)) + 1e-300
-        if abs(delta) <= 15.0 * eps or abs(delta) <= floor:
-            return left + right + delta / 15.0, abs(delta) / 15.0
+    def recurse(a: float, b: float, eps: float, depth: int):
+        centre = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        fc = ev(centre)
+        kronrod = _WGK_CENTRE * fc
+        gauss = _WG_CENTRE * fc
+        absolute = _WGK_CENTRE * abs(fc)
+        for j, x in enumerate(_XGK):
+            f1 = ev(centre - half * x)
+            f2 = ev(centre + half * x)
+            kronrod += _WGK[j] * (f1 + f2)
+            absolute += _WGK[j] * (abs(f1) + abs(f2))
+            if j % 2:
+                gauss += _WG[j // 2] * (f1 + f2)
+        evals[0] += _GK_NODES
+        value = kronrod * half
+        err = abs((kronrod - gauss) * half)
+        # Second criterion: stop when the error is at the roundoff floor of
+        # the panel's absolute integral, where further bisection cannot help.
+        floor = 1e-15 * abs(absolute * half) + 1e-300
+        if err <= eps or err <= floor:
+            return value, err
         if evals[0] >= MAX_EVALUATIONS:
             exhausted[0] = True
-            return left + right + delta / 15.0, abs(delta) / 15.0
+            return value, err
         if depth <= 0:
             raise NumericalError(
                 "adaptive quadrature depth budget exhausted",
                 context={"lo": lo, "hi": hi, "tol": tol, "interval": (a, b)},
-                best=left + right + delta / 15.0,
+                best=value,
             )
         half_eps = 0.5 * eps
-        lv, le = recurse(a, m, fa, flm, fm, left, half_eps, depth - 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, half_eps, depth - 1)
+        lv, le = recurse(a, centre, half_eps, depth - 1)
+        rv, re = recurse(centre, b, half_eps, depth - 1)
         return lv + rv, le + re
 
-    fa = ev(lo)
-    fb = ev(hi)
-    fm = ev(0.5 * (lo + hi))
-    whole = _simpson(fa, fm, fb, hi - lo)
-    value, err = recurse(lo, hi, fa, fm, fb, whole, tol, max_depth)
+    value, err = recurse(lo, hi, tol, max_depth)
     if exhausted[0]:
         raise NumericalError(
             f"adaptive quadrature evaluation budget exhausted after {evals[0]} evaluations; "
