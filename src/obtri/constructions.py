@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
-from obtri.mc import _count_strata, estimate, wilson_interval
+from obtri.mc import _blockwise, _count_strata, estimate, wilson_interval
 from obtri.sphere import sample_sphere
 
 logger = logging.getLogger(__name__)
@@ -183,19 +183,6 @@ def arc_triple_geometry(params: ArcTripleParams) -> ArcTripleGeometry:
 
 
 ARC_NAMES = ("A", "C", "B")  # index order used by the sampler
-
-# Points per block of the samplers' element-wise formulas: large enough that
-# the loop over blocks costs nothing, small enough that a block's temporaries
-# stay in cache and a shard's peak memory stays low.
-_BLOCK = 1 << 14
-
-
-def _blockwise(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
-    """Fill ``out`` block by block: out[i:j] = fn(a[i:j] for each of arrays)."""
-    for lo in range(0, out.shape[0], _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        out[rows] = fn(*(a[rows] for a in arrays))
-    return out
 
 
 class ArcTripleSampler:

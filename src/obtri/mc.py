@@ -16,6 +16,13 @@ triples in stratum ``s``.  ``estimate`` uses one stratum; the self-similar
 report stratifies by the number of points at a triple's shallowest level,
 and the arc-pattern report gives each of its patterns a shard and a stratum.
 
+Blocks: a shard is classified ``_BLOCK`` triples at a time through
+``_blockwise``, the loop that the samplers' per-point formulas also run
+through, so a shard's temporaries are O(_BLOCK * dim) and stay in cache
+instead of each being as large as the shard's points.  Every element is
+computed by the same operations as without blocks, so counts and sampled
+points are bit-identical to unblocked evaluation.
+
 Any object with a ``dim`` attribute and a ``sample(rng, n) -> (n, dim)``
 method can be estimated; the distribution constructions in
 :mod:`obtri.constructions` all qualify.
@@ -34,6 +41,20 @@ from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts, classify_ba
 from obtri.specfun import norm_ppf
 
 DEFAULT_SHARD_SIZE = 1 << 16
+
+# Rows per block of every loop over a shard: points in the samplers'
+# element-wise formulas, triples in classification.  Large enough that the
+# loop over blocks costs nothing, small enough that a block's temporaries
+# stay in cache, so a shard's peak memory is its points plus O(_BLOCK * dim).
+_BLOCK = 1 << 12
+
+
+def _blockwise(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """Fill ``out`` block by block: out[i:j] = fn(a[i:j] for each of arrays)."""
+    for lo in range(0, out.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        out[rows] = fn(*(a[rows] for a in arrays))
+    return out
 
 
 class SamplerError(RuntimeError):
@@ -132,6 +153,9 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
     policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     n_shards = (samples + shard_size - 1) // shard_size
 
+    def classify(tri: np.ndarray) -> np.ndarray:
+        return classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+
     def count_shard(shard: int) -> np.ndarray:
         offset = shard * shard_size
         n = min(shard_size, samples - offset)
@@ -145,8 +169,7 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
         if pts.shape != (3 * n, dim):
             raise SamplerError(f"sampler returned shape {pts.shape}, expected {(3 * n, dim)}",
                                shard=shard, sample_offset=offset)
-        tri = pts.reshape(n, 3, dim)
-        codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+        codes = _blockwise(classify, np.empty(n, dtype=np.int8), pts.reshape(n, 3, dim))
         return np.bincount(4 * np.asarray(stratum, dtype=np.intp) + codes, minlength=4 * strata)
 
     if workers == 1:

@@ -30,13 +30,15 @@ import math
 
 import numpy as np
 
-from obtri.specfun import QuadratureResult, betainc, integrate, log_beta, log_gamma
+from obtri.mc import _blockwise
+from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma_half_ratio
 
 
 def _three_caps(theta: float, d: int, lbeta: float) -> float:
     """Cap-mass sum, continuous extension to the closed interval [0, pi].
 
-    ``lbeta`` is ``log_beta((d - 1) / 2, 1/2)``, shared by both caps.
+    ``lbeta`` is ``_log_sin_power_norm(d)`` = log B((d - 1) / 2, 1/2), shared
+    by both caps.
     """
     a = (d - 1) / 2.0
     s = math.sin(theta / 2.0) ** 2
@@ -50,7 +52,7 @@ def obtuse_given_angle(theta: float, d: int) -> float:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (0.0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
-    return _three_caps(theta, d, log_beta((d - 1) / 2.0, 0.5))
+    return _three_caps(theta, d, _log_sin_power_norm(d))
 
 
 def sin_power_norm(d: int) -> float:
@@ -63,8 +65,18 @@ def sin_power_norm(d: int) -> float:
     return math.exp(_log_sin_power_norm(d))
 
 
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+
+
 def _log_sin_power_norm(d: int) -> float:
-    return 0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0)
+    """log of ``sin_power_norm(d)``, which is also log B((d-1)/2, 1/2), the
+    caps' incomplete-beta normalizer.
+
+    Taken as log Gamma(1/2) minus ``log_gamma_half_ratio``: a difference of
+    two log-gammas of about a log a each would lose up to 1.7e-12 absolute
+    at large d, and this log becomes the quadrature's relative error.
+    """
+    return _HALF_LOG_PI - log_gamma_half_ratio((d - 1) / 2.0)
 
 
 def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
@@ -76,15 +88,14 @@ def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    log_norm = _log_sin_power_norm(d)
-    lbeta = log_beta((d - 1) / 2.0, 0.5)
+    lbeta = _log_sin_power_norm(d)
     p = d - 2
 
     def integrand(theta: float) -> float:
         s = math.sin(theta)
         if p > 0 and s <= 0.0:
             return 0.0
-        log_w = p * math.log(s) - log_norm if p > 0 else -log_norm
+        log_w = p * math.log(s) - lbeta if p > 0 else -lbeta
         return _three_caps(theta, d, lbeta) * math.exp(log_w)
 
     scale = max(laplace_sphere(d), 1e-300)
@@ -119,20 +130,27 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n uniform points on the unit sphere S^{d-1}, shape (n, d).
 
     Normalized standard normal deviates; the measure-zero zero-norm draw is
-    redrawn.
+    redrawn once all n are drawn.  Norms run in blocks and the division in
+    place, so the only (n, d) array allocated is the result.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     pts = rng.standard_normal((n, d))
-    norms = np.linalg.norm(pts, axis=1)
+    norms = _blockwise(_row_norms, np.empty(n), pts)
     while True:
         bad = norms == 0.0
         if not np.any(bad):
             break
         k = int(bad.sum())
         pts[bad] = rng.standard_normal((k, d))
-        norms[bad] = np.linalg.norm(pts[bad], axis=1)
+        norms[bad] = _row_norms(pts[bad])
     pts /= norms[:, None]
     return pts
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` for real x, bit for bit, without the
+    conjugate copy and square that it allocates on the way."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from obtri.constructions import DistributionSpec, SingleArcSampler, SphereSampler, build_sampler
-from obtri.geometry import TriangleClass
-from obtri.mc import Estimate, SamplerError, SeedPolicy, estimate, wilson_interval
+from obtri.geometry import TriangleClass, classify_batch
+from obtri.mc import (_BLOCK, Estimate, SamplerError, SeedPolicy, _count_strata, estimate,
+                      wilson_interval)
 
 
 class TestWilsonInterval:
@@ -102,6 +104,73 @@ class TestDeterminism:
         v1 = policy.rng_for_shard(3).random(4)
         v2 = policy.rng_for_shard(3).random(4)
         assert np.array_equal(v1, v2)
+
+
+def grid_draw(strata, per_triple):
+    """A draw on a 3 x 3 integer grid, so all four classes occur; the stratum
+    is one int per shard or one per triple."""
+    def draw(rng, shard, n):
+        pts = rng.integers(0, 3, size=(3 * n, 2)).astype(float)
+        stratum = rng.integers(0, strata, size=n) if per_triple else shard % strata
+        return pts, stratum
+    return draw
+
+
+def unblocked_counts(draw, dim, strata, samples, seed, tol, shard_size):
+    """The engine's table with each shard classified in one call."""
+    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
+    table = np.zeros(4 * strata, dtype=np.int64)
+    for shard in range(-(-samples // shard_size)):
+        n = min(shard_size, samples - shard * shard_size)
+        pts, stratum = draw(policy.rng_for_shard(shard), shard, n)
+        tri = pts.reshape(n, 3, dim)
+        codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+        table += np.bincount(4 * np.asarray(stratum) + codes, minlength=4 * strata)
+    return table.reshape(strata, 4)
+
+
+class TestBlockedEngine:
+    """``_count_strata`` classifies each shard ``_BLOCK`` triples at a time."""
+
+    # (shard_size, samples): block edges inside a shard, a partial last block
+    # and a partial last shard.
+    SIZES = [(1, 7), (_BLOCK - 1, 2 * _BLOCK + 5), (_BLOCK, 3 * _BLOCK - 7),
+             (_BLOCK + 1, 2 * _BLOCK + 3), (1 << 16, (1 << 16) + 5_000)]
+
+    @pytest.mark.parametrize("per_triple", [False, True], ids=["int-stratum", "array-stratum"])
+    @pytest.mark.parametrize("shard_size,samples", SIZES)
+    def test_matches_unblocked_oracle(self, shard_size, samples, per_triple):
+        draw = grid_draw(3, per_triple)
+        got = _count_strata(draw, 2, 3, samples, 5, 1e-12, shard_size)
+        expected = unblocked_counts(draw, 2, 3, samples, 5, 1e-12, shard_size)
+        assert np.array_equal(got, expected)
+        assert got.sum() == samples
+
+    def test_sphere_shards_match_unblocked_oracle(self):
+        sampler = SphereSampler(10)
+
+        def draw(rng, shard, n):
+            return sampler.sample(rng, 3 * n), 0
+
+        samples = 3 * _BLOCK + 11
+        got = _count_strata(draw, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1)
+        assert np.array_equal(got, unblocked_counts(draw, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1))
+
+    def test_shard_memory_is_points_plus_blocks(self):
+        # One 65,536-triple shard at d = 40: its points take 63 MB; everything
+        # else the shard allocates is a few (block, d) arrays and O(n) vectors,
+        # where unblocked temporaries would each be as large as the points.
+        d, triples = 40, 1 << 16
+        points = 3 * triples * d * 8
+        block = _BLOCK * d * 8
+        estimate(SphereSampler(d), 1000, seed=3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            estimate(SphereSampler(d), triples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= points + 6 * block
 
 
 class TestCoverage:

@@ -12,6 +12,7 @@ from obtri.specfun import (
     integrate,
     log_beta,
     log_gamma,
+    log_gamma_half_ratio,
     norm_ppf,
     reg_inc_beta,
 )
@@ -51,6 +52,38 @@ class TestLogGamma:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
+
+
+class TestLogGammaHalfRatio:
+    """log(Γ(a + 1/2) / Γ(a)), the sphere normalizers' only a-dependent part."""
+
+    # Quarter steps up to 20 (the series takes over at a = 8), then coarser
+    # out to a = 991.5, the d = 1984 sphere.
+    GRID = [k / 4 for k in range(1, 81)] + [20.0 + 7.25 * k for k in range(1, 135)]
+
+    def test_series_coefficients_are_sympys(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.symbols("x", positive=True)
+        n = len(specfun._HALF_RATIO_SERIES)
+        series = sp.series(sp.loggamma(x + sp.Rational(1, 2)) - sp.loggamma(x) - sp.log(x) / 2,
+                           x, sp.oo, 2 * n + 3).removeO()
+        coefficients = [float(series.coeff(x, 1 - 2 * k)) for k in range(1, n + 2)]
+        assert list(specfun._HALF_RATIO_SERIES) == coefficients[:n]
+        # The first omitted term is below one ulp where the series takes over.
+        a = specfun._HALF_RATIO_MIN
+        assert abs(coefficients[n]) * a ** (-2 * n - 1) < math.ulp(log_gamma_half_ratio(a))
+
+    def test_against_40_digit_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for a in self.GRID:
+                ratio = mp.loggamma(mp.mpf(a) + 0.5) - mp.loggamma(a)
+                assert abs(log_gamma_half_ratio(a) - ratio) <= 5e-15, a
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            log_gamma_half_ratio(bad)
 
 
 class TestRegIncBeta:

@@ -7,6 +7,7 @@ import pytest
 
 from obtri import specfun, sphere
 from obtri.geometry import classify_batch
+from obtri.mc import _BLOCK
 from obtri.sphere import (
     asymptotic_sphere,
     laplace_sphere,
@@ -56,6 +57,13 @@ class TestSinPowerNorm:
     def test_d5_wallis(self):
         assert sin_power_norm(5) == pytest.approx(4.0 / 3.0, rel=1e-13)
 
+    def test_log_norm_against_40_digit_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for d in (2, 3, 10, 17, 80, 200, 851, 1000):
+                exact = mp.log(mp.beta(mp.mpf(d - 1) / 2, 0.5))
+                assert abs(sphere._log_sin_power_norm(d) - exact) <= 5e-15, d
+
 
 class TestObtuseProbSphere:
     def test_d3_exactly_half(self):
@@ -102,6 +110,14 @@ class TestObtuseProbSphereFixtures:
     def test_reference(self, row):
         got = obtuse_prob_sphere(row["d"])
         assert abs(got - row["expected"]) <= row["rtol"] * row["expected"], row["note"]
+
+    def test_large_d_beyond_the_fixture_rtol(self):
+        # With log B((d-1)/2, 1/2) from log_gamma_half_ratio, the normalizer
+        # no longer costs digits at large d (a difference of two log-gammas
+        # gave up to 1.8e-13 at d = 200).
+        for row in (r for r in self.ROWS if r["d"] >= 80):
+            got = obtuse_prob_sphere(row["d"])
+            assert abs(got - row["expected"]) <= 2e-14 * row["expected"], row["d"]
 
     def test_d5_fixture_is_17_over_70(self):
         row = next(r for r in self.ROWS if r["d"] == 5)
@@ -164,6 +180,34 @@ class TestSampleSphere:
         for d in (2, 3, 7):
             pts = sample_sphere(d, rng, 1000)
             assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 10, 17, 40])
+    def test_row_norms_equal_linalg_norm_bitwise(self, rng, d):
+        # Seeded sphere points stay bit-identical only if this holds.
+        x = rng.standard_normal((20_000, d)) * np.exp(rng.uniform(-30.0, 30.0, size=(20_000, 1)))
+        assert np.array_equal(sphere._row_norms(x), np.linalg.norm(x, axis=1))
+
+    def test_zero_norm_row_is_redrawn_after_the_rest(self):
+        class Scripted:
+            """Returns zeros for one row of the first draw, then the redraw."""
+            def __init__(self, n):
+                self.calls = []
+                self.n = n
+
+            def standard_normal(self, shape):
+                self.calls.append(shape)
+                if len(self.calls) == 1:
+                    out = np.ones(shape)
+                    out[self.n - 2] = 0.0
+                    return out
+                return np.full(shape, [3.0, 4.0])
+
+        n = _BLOCK + 3  # the zero row sits in the second block
+        fake = Scripted(n)
+        pts = sample_sphere(2, fake, n)
+        assert fake.calls == [(n, 2), (1, 2)]
+        assert np.array_equal(pts[n - 2], [0.6, 0.8])
+        assert np.array_equal(np.delete(pts, n - 2, axis=0), np.full((n - 1, 2), 1.0 / math.sqrt(2.0)))
 
     def test_mean_near_zero(self, rng):
         n = 100_000
