@@ -27,7 +27,6 @@ from obtri.constructions import (
     SelfSimilarParams,
     arc_triple_pattern_report,
     build_sampler,
-    estimate_spec,
     fixed_point_acute,
     maximize_acute,
     mc_self_similar,
@@ -56,7 +55,6 @@ __all__ = [
     "SelfSimilarParams",
     "arc_triple_pattern_report",
     "build_sampler",
-    "estimate_spec",
     "fixed_point_acute",
     "maximize_acute",
     "mc_self_similar",

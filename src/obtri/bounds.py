@@ -35,6 +35,9 @@ K_TABLE = (0, 2, 4, 5, 4, 0, 3, 1, 4, 0, -1)
 BASE_2D = 4
 BASE_3D = 6
 
+# Trajectory checkpoints ``limit_bound`` keeps between the base case and n_max.
+RECORD_COUNT = 200
+
 
 def base_case(d: int) -> int:
     """Recursion start N_d: 4 for d=2, 6 for d=3, 2^d for d >= 4."""
@@ -131,11 +134,11 @@ class LimitBoundResult:
         }
 
 
-def limit_bound(d: int, n_max: int, *, record_count: int = 200) -> LimitBoundResult:
+def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     """Run the recursion from (t=1, n=base_case(d)) up to n_max.
 
-    ``record_count`` controls how many trajectory checkpoints are retained:
-    every ``stride``-th n from the base case, plus the final row at n_max.
+    About ``RECORD_COUNT`` trajectory checkpoints are retained: every
+    ``stride``-th n from the base case, plus the final row at n_max.
     Between checkpoints the loop is bare integer arithmetic; records and
     their exact ratios are built only at checkpoints.
 
@@ -148,7 +151,7 @@ def limit_bound(d: int, n_max: int, *, record_count: int = 200) -> LimitBoundRes
     start = base_case(d)
     if n_max < start:
         raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
-    stride = max(1, (n_max - start) // max(1, record_count))
+    stride = max(1, (n_max - start) // RECORD_COUNT)
     t = 1
     n = start
     records = []

@@ -32,7 +32,7 @@ from obtri import __version__
 from obtri.bounds import asymptotic_bound, limit_bound, naive_bound, records_to_csv
 from obtri.constructions import (
     DistributionSpec,
-    estimate_spec,
+    build_sampler,
     fixed_point_scan,
     maximize_acute,
     mc_self_similar,
@@ -40,6 +40,7 @@ from obtri.constructions import (
     ArcTripleParams,
 )
 from obtri.geometry import DEFAULT_TOL
+from obtri.mc import estimate
 from obtri.search import InvariantViolation, SearchParams, search_min
 from obtri.specfun import NumericalError
 from obtri.sphere import asymptotic_sphere, obtuse_prob_sphere
@@ -127,18 +128,19 @@ def cmd_sphere(args) -> dict:
               "asymptotic": asymptotic_sphere(args.dim), "mc": None}
     if args.mc_samples:
         args.seed = _resolve_seed(args.seed)
-        spec = DistributionSpec(kind="sphere", params={"d": args.dim})
-        result["mc"] = estimate_spec(spec, args.mc_samples, args.seed,
-                                     workers=args.workers).to_dict()
+        spec = {"kind": "sphere", "params": {"d": args.dim}}
+        result["mc"] = estimate(build_sampler(DistributionSpec(**spec)), args.mc_samples,
+                                args.seed, workers=args.workers, spec=spec).to_dict()
     return result
 
 
 def cmd_mc(args) -> dict:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = DistributionSpec.from_json(fh.read())
-    args.spec = json.loads(spec.to_json())
+    args.spec = {"kind": spec.kind, "params": spec.params}
     args.seed = _resolve_seed(args.seed)
-    est = estimate_spec(spec, args.samples, args.seed, tol=args.tol, workers=args.workers)
+    est = estimate(build_sampler(spec), args.samples, args.seed, args.tol,
+                   workers=args.workers, spec=args.spec)
     if args.append_csv:
         row = (f"{spec.kind},{args.samples},{args.seed},{est.p_hat!r},"
                f"{est.ci95[0]!r},{est.ci95[1]!r}\n")
@@ -166,7 +168,7 @@ def cmd_search(args) -> dict:
         n=args.n, d=args.dim, iterations=args.iterations, restarts=args.restarts,
         seed=args.seed, mode=args.mode, tol=args.tol,
     )
-    return json.loads(search_min(params).to_json())
+    return search_min(params).to_dict()
 
 
 def cmd_selfsimilar(args) -> dict:

@@ -51,12 +51,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
-from obtri.mc import _blockwise, _count_strata, estimate, wilson_interval
+from obtri.mc import _blockwise, _count_strata, wilson_interval
 from obtri.sphere import sample_sphere
 
 logger = logging.getLogger(__name__)
@@ -201,9 +202,6 @@ class ArcTripleSampler:
             for arc in (self.geometry.arcs[name] for name in ARC_NAMES)
         ]).T
 
-    def spec_dict(self) -> dict:
-        return {"kind": "arc_triple", "params": self.params.to_dict()}
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         which = rng.integers(0, 3, size=n)
         u = rng.random(n) - 0.5
@@ -331,6 +329,7 @@ class FixedPointResult:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_TOL = 1e-12  # bracket width at which the derivative-sign bisection stops
 
 
 def _acute_derivative_sign(p: float) -> float:
@@ -349,7 +348,7 @@ def _acute_derivative_sign(p: float) -> float:
     return n_prime * d - n * d_prime
 
 
-def maximize_acute(bracket_tol: float = 1e-12) -> FixedPointResult:
+def maximize_acute() -> FixedPointResult:
     """Maximize x(p) over (0, 1): golden-section bracket, then bisection on
     the sign of the derivative.
 
@@ -372,7 +371,7 @@ def maximize_acute(bracket_tol: float = 1e-12) -> FixedPointResult:
     # Polish: the derivative sign changes exactly once inside the bracket.
     lo -= 1e-4
     hi += 1e-4
-    while hi - lo > bracket_tol:
+    while hi - lo > _BRACKET_TOL:
         mid = 0.5 * (lo + hi)
         if _acute_derivative_sign(mid) > 0.0:
             lo = mid
@@ -437,7 +436,7 @@ class SelfSimilarParams:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
         if not (0.0 < self.cap_half_angle < math.pi / 4.0):
             raise ValueError(f"cap_half_angle must lie in (0, pi/4), got {self.cap_half_angle!r}")
-        if self.max_depth < 0:
+        if operator.index(self.max_depth) < 0:  # a float depth would fail mid-sampling
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.rho ** self.max_depth < 1e-150:
             raise ValueError("rho**max_depth underflows the classifier; raise rho or lower max_depth")
@@ -473,9 +472,6 @@ class SelfSimilarSampler:
         self._level_radius = params.rho ** level
         logger.debug("self-similar sampler: tail mass beyond depth %d is %.3e",
                      params.max_depth, params.tail_mass)
-
-    def spec_dict(self) -> dict:
-        return {"kind": "self_similar", "params": self.params.to_dict()}
 
     def sample_levels(self, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.params.p
@@ -635,6 +631,7 @@ class SphereSampler:
     """Uniform distribution on the unit sphere S^{d-1}."""
 
     def __init__(self, d: int):
+        d = operator.index(d)  # a float d is refused, not truncated
         if d < 2:
             raise ValueError(f"dimension must be >= 2, got {d}")
         self.d = d
@@ -642,9 +639,6 @@ class SphereSampler:
     @property
     def dim(self) -> int:
         return self.d
-
-    def spec_dict(self) -> dict:
-        return {"kind": "sphere", "params": {"d": self.d}}
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return sample_sphere(self.d, rng, n)
@@ -666,10 +660,6 @@ class SingleArcSampler:
             raise ValueError(f"radius must be positive, got {radius!r}")
         self.arc_angle = arc_angle
         self.radius = radius
-
-    def spec_dict(self) -> dict:
-        return {"kind": "single_arc",
-                "params": {"arc_angle": self.arc_angle, "radius": self.radius}}
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         phi = (rng.random(n) - 0.5) * self.arc_angle
@@ -694,15 +684,6 @@ class MixtureSampler:
         self.samplers = [s for _, s in components]
         self.dim = self.samplers[0].dim
 
-    def spec_dict(self) -> dict:
-        return {
-            "kind": "mixture",
-            "params": {"components": [
-                {"weight": float(w), "spec": s.spec_dict()}
-                for w, s in zip(self.weights, self.samplers)
-            ]},
-        }
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         edges = np.cumsum(self.weights)
         which = np.searchsorted(edges, rng.random(n), side="right")
@@ -723,9 +704,6 @@ class DistributionSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params})
-
     @classmethod
     def from_json(cls, text: str) -> "DistributionSpec":
         obj = json.loads(text)
@@ -734,36 +712,31 @@ class DistributionSpec:
         return cls(kind=obj["kind"], params=obj.get("params", {}))
 
 
-def estimate_spec(spec: DistributionSpec, samples: int, seed: int, tol: float = DEFAULT_TOL,
-                  *, workers: int = 1):
-    """Monte Carlo estimate for a declarative distribution spec.
-
-    Convenience wrapper: builds the sampler and runs obtri.mc.estimate with
-    the spec recorded in the result.
-    """
-    return estimate(build_sampler(spec), samples, seed, tol, workers=workers,
-                    spec=json.loads(spec.to_json()))
-
-
 def build_sampler(spec: DistributionSpec):
-    """Instantiate the sampler described by a DistributionSpec."""
+    """Instantiate the sampler described by a DistributionSpec.  An unknown
+    kind, or params missing, unexpected or of the wrong type, raise ValueError."""
     kind, params = spec.kind, spec.params
-    if kind == "sphere":
-        return SphereSampler(int(params["d"]))
-    if kind == "arc_triple":
-        return ArcTripleSampler(ArcTripleParams(**params))
-    if kind == "self_similar":
-        p = dict(params)
-        arc = p.pop("arc", None)
-        arc_params = ArcTripleParams(**arc) if arc else _default_cap_arc()
-        return SelfSimilarSampler(SelfSimilarParams(arc=arc_params, **p))
-    if kind == "single_arc":
-        return SingleArcSampler(**params)
-    if kind == "mixture":
-        comps = []
-        for entry in params["components"]:
-            sub = DistributionSpec(kind=entry["spec"]["kind"],
-                                   params=entry["spec"].get("params", {}))
-            comps.append((float(entry["weight"]), build_sampler(sub)))
-        return MixtureSampler(comps)
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} spec params must be an object, got {params!r}")
+    try:
+        if kind == "sphere":
+            return SphereSampler(**params)
+        if kind == "arc_triple":
+            return ArcTripleSampler(ArcTripleParams(**params))
+        if kind == "self_similar":
+            p = dict(params)
+            arc = p.pop("arc", None)
+            arc_params = ArcTripleParams(**arc) if arc else _default_cap_arc()
+            return SelfSimilarSampler(SelfSimilarParams(arc=arc_params, **p))
+        if kind == "single_arc":
+            return SingleArcSampler(**params)
+        if kind == "mixture":
+            comps = []
+            for entry in params["components"]:
+                sub = DistributionSpec(kind=entry["spec"]["kind"],
+                                       params=entry["spec"].get("params", {}))
+                comps.append((float(entry["weight"]), build_sampler(sub)))
+            return MixtureSampler(comps)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"invalid {kind} spec params ({type(exc).__name__}: {exc})") from exc
     raise ValueError(f"unknown distribution kind {kind!r}")

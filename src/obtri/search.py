@@ -38,6 +38,13 @@ from obtri.geometry import (
 
 MODES = ("non-acute", "strict-obtuse")
 
+# Annealing schedule: temperature and move scale (in diameters) cool
+# geometrically from the initial to the final value over each restart.
+T_INITIAL = 2.0
+T_FINAL = 1e-3
+SCALE_INITIAL = 0.3
+SCALE_FINAL = 1e-4
+
 
 class InvariantViolation(AssertionError):
     """A search result contradicted a proven lower bound: a bug trap."""
@@ -49,10 +56,6 @@ class SearchParams:
     d: int
     iterations: int = 50_000
     restarts: int = 10
-    t_initial: float = 2.0
-    t_final: float = 1e-3
-    scale_initial: float = 0.3
-    scale_final: float = 1e-4
     seed: int = 0
     mode: str = "non-acute"
     tol: float = DEFAULT_TOL
@@ -66,15 +69,13 @@ class SearchParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be >= 1")
-        if not (0 < self.t_final <= self.t_initial):
-            raise ValueError("need 0 < t_final <= t_initial")
 
     def to_dict(self) -> dict:
         return {
             "n": self.n, "d": self.d, "iterations": self.iterations,
-            "restarts": self.restarts, "t_initial": self.t_initial,
-            "t_final": self.t_final, "scale_initial": self.scale_initial,
-            "scale_final": self.scale_final, "seed": self.seed,
+            "restarts": self.restarts, "t_initial": T_INITIAL,
+            "t_final": T_FINAL, "scale_initial": SCALE_INITIAL,
+            "scale_final": SCALE_FINAL, "seed": self.seed,
             "mode": self.mode, "tol": self.tol,
         }
 
@@ -113,9 +114,6 @@ class SearchResult:
             "gap": self.gap,
             "per_restart": list(self.per_restart),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _mode_count(counts_vec: np.ndarray, mode: str) -> int:
@@ -167,8 +165,8 @@ def search_min(params: SearchParams) -> SearchResult:
     # For each point, the triples that contain it: all a move has to re-measure.
     touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]
     corners = [(idx[t, 0], idx[t, 1], idx[t, 2]) for t in touching]
-    cool = (params.t_final / params.t_initial) ** (1.0 / max(1, params.iterations - 1))
-    shrink = (params.scale_final / params.scale_initial) ** (1.0 / max(1, params.iterations - 1))
+    cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
+    shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
 
     def measure(pts, i, j, k):
         """Class codes and normalized margins min|dot|/scale of the triples (i, j, k)."""
@@ -191,8 +189,8 @@ def search_min(params: SearchParams) -> SearchResult:
         codes, margins = measure(pts, *idx.T)
         count, margin = objective(codes, margins)
         local_pts, local_count, local_margin = pts.copy(), count, margin
-        temp = params.t_initial
-        sigma = params.scale_initial
+        temp = T_INITIAL
+        sigma = SCALE_INITIAL
         diameter = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))) * 2.0 or 1.0
         for _ in range(params.iterations):
             k = int(rng.integers(0, params.n))

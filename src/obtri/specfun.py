@@ -100,31 +100,12 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-@dataclass(frozen=True)
-class BetaArgs:
-    """Arguments for the regularized incomplete beta function I_z(a, b)."""
-
-    z: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"a must be finite and > 0, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be finite and > 0, got {self.b!r}")
-        if not math.isfinite(self.z):
-            raise ValueError(f"z must be finite, got {self.z!r}")
-        # z is clamped to [0, 1]; values outside by rounding error are fine.
-        object.__setattr__(self, "z", min(1.0, max(0.0, self.z)))
-
-
 _BETA_EPS = 1e-16
 _BETA_FPMIN = 1e-300
 _BETA_MAX_ITER = 500
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz scheme."""
     qab = a + b
     qap = a + 1.0
@@ -135,7 +116,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int) -> float:
         d = _BETA_FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -159,13 +140,12 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int) -> float:
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise NumericalError(
-        f"incomplete beta continued fraction did not converge in {max_iter} iterations",
+        f"incomplete beta continued fraction did not converge in {_BETA_MAX_ITER} iterations",
         context={"z": x, "a": a, "b": b},
     )
 
 
-def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER,
-                 lbeta: float | None = None) -> float:
+def betainc(z: float, a: float, b: float, lbeta: float | None = None) -> float:
     """Regularized incomplete beta function I_z(a, b) on [0, 1].
 
     Continued-fraction evaluation with the symmetry switch
@@ -176,10 +156,18 @@ def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER,
     once instead of having it recomputed on every call.
 
     Raises:
+        ValueError: if a or b is not finite and > 0, or z is not finite.
         NumericalError: if the continued fraction fails to converge; the
             exception context carries (z, a, b).
     """
-    z, a, b = args.z, args.a, args.b
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be finite and > 0, got {a!r}")
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"b must be finite and > 0, got {b!r}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    # z is clamped to [0, 1]; values outside by rounding error are fine.
+    z = min(1.0, max(0.0, z))
     if z == 0.0:
         return 0.0
     if z == 1.0:
@@ -188,13 +176,8 @@ def reg_inc_beta(args: BetaArgs, *, max_iter: int = _BETA_MAX_ITER,
         lbeta = log_beta(a, b)
     front = math.exp(a * math.log(z) + b * math.log1p(-z) - lbeta)
     if z < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, z, max_iter) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - z, max_iter) / b
-
-
-def betainc(z: float, a: float, b: float, lbeta: float | None = None) -> float:
-    """Convenience wrapper: reg_inc_beta without constructing BetaArgs by hand."""
-    return reg_inc_beta(BetaArgs(z=z, a=a, b=b), lbeta=lbeta)
+        return front * _beta_cf(a, b, z) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - z) / b
 
 
 @dataclass(frozen=True)
@@ -243,9 +226,10 @@ _GK_NODES = 15
 # otherwise bisect for hours.  The sphere quadrature needs 615 evaluations at
 # d = 80 and at most 855 for any d <= 1000.
 MAX_EVALUATIONS = 250_000
+MAX_DEPTH = 60  # bisection levels: a panel 2^-60 of the interval is below double resolution
 
 
-def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 60) -> QuadratureResult:
+def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     """Adaptive Gauss-Kronrod 7-15 integration of ``f`` over [lo, hi].
 
     Each panel is integrated by the 15-point Kronrod rule and the embedded
@@ -257,7 +241,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
 
     Raises:
         ValueError: on invalid bounds or tolerance.
-        NumericalError: if the depth budget or the ``MAX_EVALUATIONS`` budget
+        NumericalError: if the ``MAX_DEPTH`` or the ``MAX_EVALUATIONS`` budget
             is exhausted before reaching ``tol``; the exception carries the
             best estimate so far (for the evaluation budget, of the whole
             integral: panels still open when the budget runs out keep their
@@ -315,7 +299,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
         rv, re = recurse(centre, b, half_eps, depth - 1)
         return lv + rv, le + re
 
-    value, err = recurse(lo, hi, tol, max_depth)
+    value, err = recurse(lo, hi, tol, MAX_DEPTH)
     if exhausted[0]:
         raise NumericalError(
             f"adaptive quadrature evaluation budget exhausted after {evals[0]} evaluations; "
@@ -324,41 +308,3 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10, *, max_depth: int = 6
             best=value,
         )
     return QuadratureResult(value, err, evals[0])
-
-
-# Inverse of the standard normal CDF (Acklam's rational approximation,
-# refined with one Halley step).  Used only to turn a confidence level into
-# a z-score for Wilson intervals.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def norm_ppf(p: float) -> float:
-    """Quantile of the standard normal distribution, |error| < 1e-13."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0, 1), got {p!r}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley refinement against erfc brings the error to ~1e-15.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)

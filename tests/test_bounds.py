@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from obtri import bounds
 from obtri.bounds import (
     BoundRecord,
     asymptotic_bound,
@@ -116,8 +117,9 @@ class TestLimitBound:
         assert limit_bound(2, 5000).monotone
         assert limit_bound(4, 5000).monotone
 
-    def test_records_cover_range(self):
-        res = limit_bound(2, 1000, record_count=10)
+    def test_records_cover_range(self, monkeypatch):
+        monkeypatch.setattr(bounds, "RECORD_COUNT", 10)
+        res = limit_bound(2, 1000)
         assert res.records[0].n == 4
         assert res.records[-1].n == 1000
         ns = [r.n for r in res.records]
@@ -142,8 +144,9 @@ class TestLimitBound:
         assert s["naive"] == pytest.approx(1.0 / binom3(16))
         assert s["monotone"] is True
 
-    def test_csv_rendering(self):
-        text = records_to_csv(limit_bound(2, 50, record_count=5).records)
+    def test_csv_rendering(self, monkeypatch):
+        monkeypatch.setattr(bounds, "RECORD_COUNT", 5)
+        text = records_to_csv(limit_bound(2, 50).records)
         lines = text.strip().splitlines()
         assert lines[0] == "d,n,t_n,ratio_exact_num,ratio_exact_den,ratio_float"
         assert lines[1].startswith("2,4,1,")
@@ -174,10 +177,11 @@ class TestLimitBoundEquivalence:
     @pytest.mark.parametrize("d", range(2, 9))
     @pytest.mark.parametrize("extra", [0, 1, 7, 200, 2500])
     @pytest.mark.parametrize("record_count", [1, 10, 200, 10 ** 6])
-    def test_matches_step_by_step_reference(self, d, extra, record_count):
+    def test_matches_step_by_step_reference(self, d, extra, record_count, monkeypatch):
         n_max = base_case(d) + extra
         records, lower, envelope, monotone = reference_limit_bound(d, n_max, record_count)
-        res = limit_bound(d, n_max, record_count=record_count)
+        monkeypatch.setattr(bounds, "RECORD_COUNT", record_count)
+        res = limit_bound(d, n_max)
         assert list(res.records) == records
         assert res.lower_bound == lower
         assert res.upper_envelope == envelope

@@ -93,6 +93,7 @@ class TestMc:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["result"]["p_hat"] == 1.0
+        assert payload["result"]["spec"] == {"kind": "single_arc", "params": {"arc_angle": 0.4}}
 
     def test_worker_determinism(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "sphere", "params": {"d": 3}})
@@ -111,6 +112,25 @@ class TestMc:
             run(["mc", "--spec", spec, "--samples", "2000", "--seed", seed,
                  "--append-csv", str(sweep)], capsys)
         assert len(sweep.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "sphere", "params": {}},
+        {"kind": "sphere", "params": {"d": 3.7}},
+        {"kind": "sphere", "params": [3]},
+        {"kind": "single_arc", "params": {"arc_angle": 0.4, "colour": "red"}},
+        {"kind": "arc_triple", "params": {"alpha": 0.01}},
+        {"kind": "mixture", "params": {"components": [{"weight": 1.0}]}},
+        {"kind": "self_similar", "params": {"p": 0.8, "arc": {"alpha": 0.0068}}},
+        {"kind": "self_similar", "params": {"p": 0.8, "max_depth": 3.5}},
+    ], ids=["sphere-without-d", "sphere-float-d", "params-not-object", "unknown-param",
+            "arc-triple-partial", "mixture-without-spec", "self-similar-partial-arc",
+            "self-similar-float-depth"])
+    def test_malformed_spec_is_usage_error(self, tmp_path, capsys, spec):
+        code, out, err = run(["mc", "--spec", self.write_spec(tmp_path, spec),
+                              "--samples", "10", "--seed", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and spec["kind"] in err
+        assert out == ""
 
     def test_missing_spec_file(self, capsys):
         code, _, err = run(["mc", "--spec", "/nonexistent.json",
@@ -241,6 +261,7 @@ ROUND_TRIPS = {
     "sphere": ["sphere", "--dim", "3", "--tol", "1e-06"],
     "sphere-mc": ["sphere", "--dim", "3", "--mc-samples", "3000", "--seed", "5"],
     "mc": ["mc", "--spec", "SPEC", "--samples", "3000", "--seed", "7"],
+    "mc-nested": ["mc", "--spec", "NESTED_SPEC", "--samples", "3000", "--seed", "7"],
     "fixedpoint-optimize": ["fixedpoint"],
     "fixedpoint-scan": ["fixedpoint", "--scan", "--scan-points", "9"],
     "search": ["search", "--n", "6", "--dim", "2", "--iterations", "300", "--restarts", "2",
@@ -249,6 +270,15 @@ ROUND_TRIPS = {
     "selfsimilar-arc": ["selfsimilar", "--p", "0.8051875", "--samples", "3000", "--seed", "4",
                         "--arc-alpha", "0.0068", "--arc-delta", "0.0014", "--arc-eps", "0.3"],
 }
+
+
+# A mixture whose self-similar component spells out its in-cap arc: a spec
+# nested three levels deep must survive manifest -> file -> replay.
+NESTED_SPEC = {"kind": "mixture", "params": {"components": [
+    {"weight": 0.4, "spec": {"kind": "self_similar", "params": {
+        "p": 0.8, "arc": {"alpha": 0.0068, "delta": 0.0014, "eps": 0.26}}}},
+    {"weight": 0.6, "spec": {"kind": "sphere", "params": {"d": 3}}},
+]}}
 
 
 def split_saved(text):
@@ -264,9 +294,10 @@ def split_saved(text):
 class TestReplayRoundTrip:
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_replay_reproduces_result_and_manifest(self, case, tmp_path, monkeypatch, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 3}}))
-        argv = [str(spec) if a == "SPEC" else a for a in ROUND_TRIPS[case]]
+        specs = {"SPEC": {"kind": "sphere", "params": {"d": 3}}, "NESTED_SPEC": NESTED_SPEC}
+        for name, obj in specs.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        argv = [str(tmp_path / a) if a in specs else a for a in ROUND_TRIPS[case]]
         first, second = tmp_path / "first.out", tmp_path / "second.out"
         assert run(argv + ["--output", str(first)], capsys)[0] == EXIT_OK
         work = tmp_path / "work"

@@ -431,14 +431,13 @@ class TestMcSelfSimilar:
 
 class TestSpecRoundTrips:
     def test_arc_triple_spec(self):
-        sampler = ArcTripleSampler(DEMO)
-        spec = DistributionSpec(**sampler.spec_dict())
+        spec = DistributionSpec(kind="arc_triple", params=DEMO.to_dict())
         rebuilt = build_sampler(spec)
         assert rebuilt.params == DEMO
 
     def test_self_similar_spec(self):
+        # to_dict nests the in-cap layout under "arc": build_sampler's nested branch.
         params = SelfSimilarParams(p=0.77)
-        sampler = SelfSimilarSampler(params)
-        spec = DistributionSpec(**sampler.spec_dict())
+        spec = DistributionSpec(kind="self_similar", params=params.to_dict())
         rebuilt = build_sampler(spec)
         assert rebuilt.params == params

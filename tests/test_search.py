@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,10 @@ from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE_EXACT
 from obtri.bounds import closed_form_2d
 from obtri.geometry import Configuration, TriangleClass, classify_batch, counts_from_codes
 from obtri.search import (
+    SCALE_FINAL,
+    SCALE_INITIAL,
+    T_FINAL,
+    T_INITIAL,
     SearchParams,
     SearchResult,
     _initial_points,
@@ -127,8 +132,7 @@ class TestSearchMin:
 
     def test_result_json(self):
         result = search_min(SearchParams(n=4, d=2, seed=9, iterations=300, restarts=1))
-        import json
-        obj = json.loads(result.to_json())
+        obj = json.loads(json.dumps(result.to_dict()))
         assert obj["best_count"] == result.best_count
         assert len(obj["points"]) == 4
 
@@ -159,7 +163,7 @@ class TestCertifyResultJson:
         from obtri.search import certify_result_json
         result = search_min(SearchParams(n=4, d=2, mode="strict-obtuse", seed=7,
                                          iterations=2000, restarts=2))
-        cert = certify_result_json(result.to_json())
+        cert = certify_result_json(json.dumps(result.to_dict()))
         assert not cert.exact_coordinates      # floats from the search
         # tolerance-based Right triples may be exactly (microscopically)
         # obtuse or acute for the stored rationals; the exact obtuse count
@@ -196,8 +200,8 @@ def search_min_full_recompute(params):
     Same RNG draws, acceptance rule and per-triple formulas as ``search_min``.
     """
     idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
-    cool = (params.t_final / params.t_initial) ** (1.0 / max(1, params.iterations - 1))
-    shrink = (params.scale_final / params.scale_initial) ** (1.0 / max(1, params.iterations - 1))
+    cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
+    shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
     best_pts, best_count, best_margin = None, None, -1.0
     per_restart = []
     for restart in range(params.restarts):
@@ -206,8 +210,8 @@ def search_min_full_recompute(params):
         pts = np.array(_initial_points(rng, params, restart), dtype=float)
         count, margin = _evaluate_all(pts, idx, params.mode, params.tol)
         local_pts, local_count, local_margin = pts.copy(), count, margin
-        temp = params.t_initial
-        sigma = params.scale_initial
+        temp = T_INITIAL
+        sigma = SCALE_INITIAL
         diameter = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))) * 2.0 or 1.0
         for _ in range(params.iterations):
             k = int(rng.integers(0, params.n))
