@@ -287,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("fixedpoint", help="self-similar fixed point: optimum or scan")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--optimize", action="store_true", default=False,
-                   help="report the optimum (the mode whenever --scan is absent)")
-    g.add_argument("--scan", action="store_true")
+    p.add_argument("--scan", action="store_true")
     p.add_argument("--scan-points", type=int, default=999)
     add_common(p, seeded=False)
     p.set_defaults(func=cmd_fixedpoint)

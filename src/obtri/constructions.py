@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
-from obtri.mc import _blockwise, _count_strata, wilson_interval
+from obtri.mc import DEFAULT_SHARD_SIZE, _blockwise, _count_strata, wilson_interval
 from obtri.sphere import sample_sphere
 
 logger = logging.getLogger(__name__)
@@ -113,11 +113,6 @@ class Arc:
     radius: float
     base_angle: float  # polar angle of vertex as seen from center
     length: float
-
-    def points(self, u: np.ndarray) -> np.ndarray:
-        """Points at signed arc-length offsets u from the vertex, shape (n, 2)."""
-        return arc_points(np.asarray(u, dtype=float), self.radius, self.base_angle,
-                          self.vertex[0], self.vertex[1])
 
 
 def arc_points(u: np.ndarray, radius, base_angle, vx, vy) -> np.ndarray:
@@ -215,11 +210,10 @@ class ArcTripleSampler:
         """n triples with prescribed arcs per position, shape (n, 3, 2)."""
         if len(pattern) != 3 or any(ch not in ARC_NAMES for ch in pattern):
             raise ValueError(f"pattern must be three of A/B/C, got {pattern!r}")
-        out = np.empty((n, 3, 2))
-        for pos, name in enumerate(pattern):
-            arc = self.geometry.arcs[name]
-            out[:, pos, :] = arc.points((rng.random(n) - 0.5) * arc.length)
-        return out
+        # Row i holds position i's offsets: n draws for each position in turn.
+        which = np.tile([ARC_NAMES.index(name) for name in pattern], n)
+        u = (rng.random((3, n)) - 0.5).T.ravel()
+        return _blockwise(self._gathered_points, np.empty((3 * n, 2)), which, u).reshape(n, 3, 2)
 
 
 # The ten multiset patterns with their probabilities under uniform arc choice.
@@ -308,12 +302,12 @@ def fixed_point_acute(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     q = 1.0 - p
-    return (3.0 * q * p * p + (5.0 / 9.0) * p ** 3) / (1.0 - q ** 3)
+    return (3.0 * q * p * p + ACUTE_FRACTION_LIMIT * p ** 3) / (1.0 - q ** 3)
 
 
 def fixed_point_residual(p: float, x: float) -> float:
     q = 1.0 - p
-    return x - (3.0 * q * p * p + q ** 3 * x + (5.0 / 9.0) * p ** 3)
+    return x - (3.0 * q * p * p + q ** 3 * x + ACUTE_FRACTION_LIMIT * p ** 3)
 
 
 @dataclass(frozen=True)
@@ -328,62 +322,21 @@ class FixedPointResult:
                 "residual": self.residual}
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-12  # bracket width at which the derivative-sign bisection stops
-
-
-def _acute_derivative_sign(p: float) -> float:
-    """Sign surrogate for d/dp of x(p) = N/D: the value N'(p)D(p) - N(p)D'(p).
-
-    Evaluating the derivative's sign directly sidesteps the flat-maximum
-    problem: near the optimum x(p) itself varies quadratically and cannot
-    locate p beyond ~1e-8 in doubles, while this expression crosses zero
-    linearly and bisects down to full precision.
-    """
-    q = 1.0 - p
-    n = 3.0 * q * p * p + (5.0 / 9.0) * p ** 3
-    d = 1.0 - q ** 3
-    n_prime = 6.0 * p * q - 3.0 * p * p + (5.0 / 3.0) * p * p
-    d_prime = 3.0 * q * q
-    return n_prime * d - n * d_prime
-
-
 def maximize_acute() -> FixedPointResult:
-    """Maximize x(p) over (0, 1): golden-section bracket, then bisection on
-    the sign of the derivative.
+    """The maximum of x(p) over (0, 1), from its closed form.
 
-    The objective is unimodal on (0, 1); the optimum is
-    p* = (22 - sqrt(133))/13 with x* = (2*sqrt(133) - 17)/9.
+    With a = ACUTE_FRACTION_LIMIT, x(p) = (3p - (3-a)p^2) / (p^2 - 3p + 3),
+    and the numerator of x'(p) is 3((2-a)p^2 - 2(3-a)p + 3).  At a = 5/9 that
+    quadratic is (13p^2 - 44p + 27)/3, whose root in (0, 1) is
+    p* = (22 - sqrt(133))/13, where x* = (2*sqrt(133) - 17)/9.
     """
-    lo, hi = 1e-9, 1.0 - 1e-9
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fixed_point_acute(x1), fixed_point_acute(x2)
-    while hi - lo > 1e-4:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fixed_point_acute(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fixed_point_acute(x1)
-    # Polish: the derivative sign changes exactly once inside the bracket.
-    lo -= 1e-4
-    hi += 1e-4
-    while hi - lo > _BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if _acute_derivative_sign(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
+    p = (22.0 - math.sqrt(133.0)) / 13.0
     x = fixed_point_acute(p)
     return FixedPointResult(p=p, acute=x, obtuse=1.0 - x,
                             residual=fixed_point_residual(p, x))
 
 
-def fixed_point_scan(n: int = 999) -> list[tuple[float, float]]:
+def fixed_point_scan(n: int) -> list[tuple[float, float]]:
     """Grid of (p, x(p)) pairs over (0, 1), for tables and unimodality checks."""
     return [((i + 1) / (n + 1), fixed_point_acute((i + 1) / (n + 1))) for i in range(n)]
 
@@ -567,7 +520,8 @@ SELF_SIMILAR_TOL = 1e-15
 
 
 def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
-                    tol: float = SELF_SIMILAR_TOL, *, shard_size: int = 1 << 16) -> SelfSimilarReport:
+                    tol: float = SELF_SIMILAR_TOL, *,
+                    shard_size: int = DEFAULT_SHARD_SIZE) -> SelfSimilarReport:
     """Monte Carlo classification of self-similar triples with per-pattern
     accounting.
 
@@ -596,8 +550,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     obtuse = counts[TriangleClass.OBTUSE]
     cat_n = cat_class.sum(axis=1)
     cat_freq = cat_n / samples
-    with np.errstate(invalid="ignore"):
-        cat_acute = np.where(cat_n > 0, cat_class[:, 0] / np.maximum(cat_n, 1), 0.0)
+    cat_acute = cat_class[:, 0] / np.maximum(cat_n, 1)  # an empty category reads 0
     weights = _category_weights(params)
     acute_pred = float(np.dot(weights, cat_acute))
     acute_hat = acute / samples

@@ -207,10 +207,6 @@ def class_counts(binc: Sequence[int]) -> dict[TriangleClass, int]:
     return {cls: int(n) for cls, n in zip(CLASS_ORDER, binc, strict=True)}
 
 
-def counts_from_codes(codes: np.ndarray) -> dict[TriangleClass, int]:
-    return class_counts(np.bincount(codes.ravel(), minlength=4))
-
-
 def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[TriangleClass, int]:
     """Class counts over all C(n, 3) triples of a configuration.
 

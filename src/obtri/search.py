@@ -30,8 +30,8 @@ from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
     TriangleClass,
+    class_counts,
     classify_exact,
-    counts_from_codes,
     measure_batch,
     triple_blocks,
 )
@@ -224,7 +224,7 @@ def search_min(params: SearchParams) -> SearchResult:
             best_pts, best_count, best_margin = local_pts, local_count, local_margin
 
     config = Configuration(points=best_pts)
-    counts = counts_from_codes(measure(best_pts, *idx.T)[0])
+    counts = class_counts(np.bincount(measure(best_pts, *idx.T)[0], minlength=4))
     bound = closed_form_bound(params.n, params.d) if params.mode == "non-acute" else None
     if bound is not None and best_count < bound:
         raise InvariantViolation(

@@ -357,3 +357,11 @@ class TestReplay:
         assert code == EXIT_USAGE
         assert repr(key) in err
         assert out == ""
+
+    def test_retired_fixedpoint_optimize_key(self, tmp_path, capsys):
+        params = {"optimize": False, "scan": False, "scan_points": 999}
+        path = self.save(tmp_path, {"subcommand": "fixedpoint", "params": params, "seed": None})
+        code, out, err = run(["replay", "--manifest", path], capsys)
+        assert code == EXIT_USAGE
+        assert "'optimize'" in err
+        assert out == ""

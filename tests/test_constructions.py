@@ -12,6 +12,7 @@ from obtri.constructions import (
     PATTERNS,
     SelfSimilarParams,
     SelfSimilarSampler,
+    arc_points,
     arc_triple_geometry,
     arc_triple_pattern_report,
     build_sampler,
@@ -76,7 +77,7 @@ class TestArcTripleGeometry:
         g = arc_triple_geometry(DEMO)
         for name, vertex in (("A", g.a), ("C", g.c), ("B", g.b)):
             arc = g.arcs[name]
-            mid = arc.points(np.array([0.0]))[0]
+            mid = arc_points(np.array([0.0]), arc.radius, arc.base_angle, *arc.vertex)[0]
             assert np.allclose(mid, vertex, atol=1e-15)
 
     def test_tangents_perpendicular_to_designated_sides(self):
@@ -85,7 +86,8 @@ class TestArcTripleGeometry:
         for name, seg in (("A", c - a), ("C", b - c), ("B", a - b)):
             arc = g.arcs[name]
             h = arc.length / 2
-            chord = arc.points(np.array([h]))[0] - arc.points(np.array([-h]))[0]
+            ends = arc_points(np.array([h, -h]), arc.radius, arc.base_angle, *arc.vertex)
+            chord = ends[0] - ends[1]
             cosang = float(chord @ seg) / (np.linalg.norm(chord) * np.linalg.norm(seg))
             # symmetric chord is parallel to the tangent at the vertex
             assert abs(cosang) < 1e-6
@@ -106,7 +108,7 @@ class TestArcTripleGeometry:
         g = arc_triple_geometry(DEMO)
         arc = g.arcs["A"]
         u = np.linspace(-arc.length / 2, arc.length / 2, 7)
-        pts = arc.points(u)
+        pts = arc_points(u, arc.radius, arc.base_angle, *arc.vertex)
         radii = np.linalg.norm(pts - np.array(arc.center), axis=1)
         assert np.allclose(radii, arc.radius, rtol=1e-14)
 
@@ -278,6 +280,12 @@ class TestMaximizeAcute:
 
     def test_deterministic(self):
         assert maximize_acute() == maximize_acute()
+
+    def test_optimum_to_double_precision(self):
+        opt = maximize_acute()
+        p_star = float(P_STAR_ORACLE)
+        assert abs(opt.p - p_star) <= math.ulp(p_star)
+        assert opt.acute == float(X_STAR_ORACLE)
 
 
 class TestSelfSimilarSampler:

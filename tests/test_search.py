@@ -8,7 +8,7 @@ import pytest
 
 from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE_EXACT
 from obtri.bounds import closed_form_2d
-from obtri.geometry import Configuration, TriangleClass, classify_batch, counts_from_codes
+from obtri.geometry import Configuration, TriangleClass, class_counts, classify_batch
 from obtri.search import (
     SCALE_FINAL,
     SCALE_INITIAL,
@@ -242,7 +242,7 @@ def search_min_full_recompute(params):
         params=params,
         best=Configuration(points=best_pts),
         best_count=int(best_count),
-        counts=counts_from_codes(classify_batch(a, b, c, params.tol)),
+        counts=class_counts(np.bincount(classify_batch(a, b, c, params.tol), minlength=4)),
         margin=best_margin,
         bound=closed_form_bound(params.n, params.d) if params.mode == "non-acute" else None,
         per_restart=tuple(per_restart),
