@@ -60,8 +60,9 @@ class Configuration:
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinate in configuration")
         # Exact duplicate detection; tolerance-near duplicates are legal.
+        # Adding 0.0 turns -0.0 into 0.0, so the bytes compare as the values do.
         seen = set()
-        for row in pts:
+        for row in pts + 0.0:
             key = row.tobytes()
             if key in seen:
                 raise ValueError("configuration contains two identical points")
@@ -122,22 +123,61 @@ def _triangle_area(u: np.ndarray, v: np.ndarray,
     return 0.25 * np.sqrt(prod)
 
 
-def measure_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge vectors ``(b - a, c - a, c - b)`` of a (..., 3, d) block.
+
+    They share one (..., 3, d) buffer, filled without d-long inner loops:
+    one subtraction over the flattened block, each row minus the one
+    before, gives every b - a and c - b (and, in each triple's third slot,
+    the next triple's a minus this c); then c - a is written over that
+    third slot one coordinate at a time.
+    """
+    tri = np.ascontiguousarray(tri, dtype=float)
+    if tri.ndim < 2 or tri.shape[-2] != 3:
+        raise ValueError(f"a triangle block has shape (..., 3, d), got {tri.shape}")
+    d = tri.shape[-1]
+    flat = tri.reshape(-1)
+    edges = np.empty_like(tri)
+    np.subtract(flat[d:], flat[:flat.size - d], out=edges.reshape(-1)[:flat.size - d])
+    for j in range(d):
+        np.subtract(tri[..., 2, j], tri[..., 0, j], out=edges[..., 2, j])
+    return edges[..., 0, :], edges[..., 2, :], edges[..., 1, :]
+
+
+def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
                   tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triangle-measure kernel: class codes with the quantities behind them.
 
-    Accepts stacked vertices of shape (..., d).  Returns ``(codes, min_abs,
-    scale)`` of shape (...,): the int8 class code (see ``classify_batch``),
-    the smallest |vertex dot product| and the largest squared edge length.
-    ``min_abs / scale`` is the normalized right-angle margin that the
-    annealing search maximizes.
+    Takes the triangles in one of two forms:
+
+    * vertex form, ``measure_batch(a, b, c, tol)``: stacked vertices of
+      shape (..., d);
+    * block form, ``measure_batch(tri, tol=tol)``: one array of shape
+      (..., 3, d) whose rows are the vertices a, b, c, with ``tol`` passed
+      by keyword.  Its edges come without d-long inner loops (see
+      ``_block_edges``).  The Monte Carlo engine's shard blocks are
+      C-contiguous; any other block is copied first.
+
+    Both forms compute every edge, dot product and length by the same
+    floating-point operations, so they return bit-identical results.
+
+    Returns ``(codes, min_abs, scale)`` of shape (...,): the int8 class code
+    (see ``classify_batch``), the smallest |vertex dot product| and the
+    largest squared edge length.  ``min_abs / scale`` is the normalized
+    right-angle margin that the annealing search maximizes.
     """
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
-    ab = b - a
-    ac = c - a
-    bc = c - b
+    if b is None and c is None:
+        ab, ac, bc = _block_edges(a)
+    elif b is None or c is None:
+        raise ValueError("give the vertices a, b and c, or one (..., 3, d) block "
+                         "with tol by keyword")
+    else:
+        a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
+        ab = b - a
+        ac = c - a
+        bc = c - b
     dot_a = np.einsum("...i,...i->...", ab, ac)
     dot_b = -np.einsum("...i,...i->...", ab, bc)
     dot_c = np.einsum("...i,...i->...", ac, bc)
@@ -145,7 +185,8 @@ def measure_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     l_ac = np.einsum("...i,...i->...", ac, ac)
     l_bc = np.einsum("...i,...i->...", bc, bc)
     # The (..., d) edge vectors are the largest temporaries: drop them as soon
-    # as they are used, so a Monte Carlo shard's peak memory stays low.
+    # as they are used, so a Monte Carlo shard's peak memory stays low.  (In
+    # block form the three share one buffer, freed with the last of them.)
     del bc
     area = _triangle_area(ab, ac, l_ab, l_ac, l_bc)
     del ab, ac
@@ -162,10 +203,13 @@ def measure_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return out, min_abs, scale
 
 
-def classify_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def classify_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Classify stacked triangles; returns an int array (see ``CLASS_ORDER``).
 
-    0 = acute, 1 = right, 2 = obtuse, 3 = degenerate.
+    0 = acute, 1 = right, 2 = obtuse, 3 = degenerate.  Takes the vertex form
+    ``(a, b, c, tol)`` or the block form ``(tri, tol=tol)`` of
+    ``measure_batch``.
     """
     return measure_batch(a, b, c, tol)[0]
 

@@ -19,9 +19,12 @@ and the arc-pattern report gives each of its patterns a shard and a stratum.
 Blocks: a shard is classified ``_BLOCK`` triples at a time through
 ``_blockwise``, the loop that the samplers' per-point formulas also run
 through, so a shard's temporaries are O(_BLOCK * dim) and stay in cache
-instead of each being as large as the shard's points.  Every element is
-computed by the same operations as without blocks, so counts and sampled
-points are bit-identical to unblocked evaluation.
+instead of each being as large as the shard's points.  Each block goes to
+``classify_batch`` as one C-contiguous (_BLOCK, 3, dim) array (its block
+form), which takes the edge vectors in passes over the whole block rather
+than in one dim-long loop per triple.  Every element is computed by the
+same operations as without blocks, so counts and sampled points are
+bit-identical to unblocked evaluation.
 
 Any object with a ``dim`` attribute and a ``sample(rng, n) -> (n, dim)``
 method can be estimated; the distribution constructions in
@@ -152,7 +155,7 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
     n_shards = (samples + shard_size - 1) // shard_size
 
     def classify(tri: np.ndarray) -> np.ndarray:
-        return classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
+        return classify_batch(tri, tol=tol)
 
     def count_shard(shard: int) -> np.ndarray:
         offset = shard * shard_size

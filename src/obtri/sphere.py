@@ -130,27 +130,55 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n uniform points on the unit sphere S^{d-1}, shape (n, d).
 
     Normalized standard normal deviates; the measure-zero zero-norm draw is
-    redrawn once all n are drawn.  Norms run in blocks and the division in
-    place, so the only (n, d) array allocated is the result.
+    redrawn once all n are drawn.  Each block of rows is divided in place by
+    its own norms, so the only (n, d) array allocated is the result and no
+    length-n norm vector is held.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     pts = rng.standard_normal((n, d))
-    norms = _blockwise(_row_norms, np.empty(n), pts)
-    while True:
-        bad = norms == 0.0
-        if not np.any(bad):
-            break
-        k = int(bad.sum())
-        pts[bad] = rng.standard_normal((k, d))
-        norms[bad] = _row_norms(pts[bad])
-    pts /= norms[:, None]
+    bad = np.flatnonzero(_blockwise(_normalize, np.empty(n, dtype=bool), pts))
+    while bad.size:
+        redraw = rng.standard_normal((bad.size, d))
+        zero = _normalize(redraw)
+        pts[bad] = redraw
+        bad = bad[zero]
     return pts
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Divide the rows of x in place by their norms; returns the mask of the
+    zero-norm rows, which are left as they are."""
+    norms = _row_norms(x)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    x /= norms[:, None]
+    return zero
+
+
+# numpy's pairwise summation adds runs shorter than this one term at a time.
+_PAIRWISE_BLOCK = 8
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=1)`` for real x, bit for bit, without the
-    conjugate copy and square that it allocates on the way."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    conjugate copy and square that it allocates on the way.
+
+    That norm is the square root of ``np.add.reduce(x * x, axis=1)``.
+    numpy's pairwise summation adds a row of fewer than 8 terms left to
+    right, so below 8 columns the squares are summed column by column in
+    that order: each step is one loop over all rows instead of one d-long
+    loop per row.  From 8 columns on numpy sums in eight interleaved
+    partial sums, and the reduction itself is kept.
+    """
+    d = x.shape[1]
+    if d >= _PAIRWISE_BLOCK:
+        return np.sqrt(np.add.reduce(x * x, axis=1))
+    total = x[:, 0] * x[:, 0]
+    square = np.empty_like(total)
+    for j in range(1, d):
+        np.multiply(x[:, j], x[:, j], out=square)
+        total += square
+    return np.sqrt(total, out=total)

@@ -197,6 +197,14 @@ class TestConfiguration:
         assert loaded.dim == 3 and loaded.n == 6
         assert np.array_equal(loaded.points, config.points)
 
+    def test_signed_zeros_are_one_point(self):
+        # 0.0 == -0.0, so (0, 0) and (-0, 0) are the same point even though
+        # their bytes differ.
+        with pytest.raises(ValueError, match="identical"):
+            Configuration(points=np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="identical"):
+            Configuration(points=np.array([[1.0, -0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+
     def test_json_dim_mismatch(self):
         with pytest.raises(ValueError):
             Configuration.from_json('{"dim": 3, "points": [[0,0],[1,0],[0,1]]}')
@@ -252,6 +260,25 @@ class TestMeasureBatch:
             edges = [np.sum((b - a) ** 2, axis=1), np.sum((c - a) ** 2, axis=1),
                      np.sum((c - b) ** 2, axis=1)]
             assert np.allclose(scale, np.max(edges, axis=0), rtol=1e-12)
+
+    def test_block_form_errors(self, rng):
+        tri = rng.standard_normal((5, 3, 2))
+        with pytest.raises(ValueError):
+            measure_batch(tri[:, 0], tri[:, 1])              # b without c
+        with pytest.raises(ValueError):
+            measure_batch(tri, 1e-12)                        # positional tol
+        with pytest.raises(ValueError):
+            classify_batch(tri, 1e-12)
+        for shape in ((5, 2, 2), (5, 4, 3), (3,), (5, 3, 2, 1)):
+            with pytest.raises(ValueError):
+                measure_batch(np.zeros(shape), tol=1e-12)    # trailing shape not (3, d)
+
+    def test_block_form_leading_shape(self, rng):
+        tri = rng.standard_normal((4, 5, 3, 3))
+        for got, want in zip(measure_batch(tri, tol=1e-12),
+                             measure_batch(tri[..., 0, :], tri[..., 1, :], tri[..., 2, :], 1e-12)):
+            assert got.shape == (4, 5)
+            assert np.array_equal(got, want)
 
 
 class TestCountClassesMatchesOneBatch:

@@ -212,6 +212,21 @@ def test_measure_triples_include_needles():
     assert int(np.sum(codes[:600] != 3)) > 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 10, 40])
+def test_measure_block_form_equals_vertex_form(d):
+    # The engine's (m, 3, d) block form must reproduce the vertex form bit
+    # for bit, at block sizes on either side of the engine's 4,096.
+    a, b, c = measure_triples(d)
+    tri = np.stack([a, b, c], axis=1)
+    for m in (1, 2, 4095, 4096, 4097):
+        block = tri[np.arange(m) % len(tri)]
+        for tol in (0.0, 1e-12, 1e-15):
+            vertex = measure_batch(block[:, 0], block[:, 1], block[:, 2], tol)
+            for got, want in zip(measure_batch(block, tol=tol), vertex, strict=True):
+                assert got.dtype == want.dtype and got.shape == (m,)
+                assert np.array_equal(got, want), (m, tol)
+
+
 @pytest.mark.parametrize("name", ESTIMATE_CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_estimate_counts(name, seed):

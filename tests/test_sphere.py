@@ -187,6 +187,20 @@ class TestSampleSphere:
         x = rng.standard_normal((20_000, d)) * np.exp(rng.uniform(-30.0, 30.0, size=(20_000, 1)))
         assert np.array_equal(sphere._row_norms(x), np.linalg.norm(x, axis=1))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16, 40, 200])
+    def test_row_norms_equal_linalg_norm_at_the_edges(self, rng, d):
+        # Magnitudes from about 1e-150 to 1e150, all-zero rows, -0.0 entries.
+        x = rng.standard_normal((3_000, d)) * np.exp(rng.uniform(-345.0, 345.0, size=(3_000, 1)))
+        x[:10] = 0.0
+        x[10:20] = -0.0
+        x[20:40, ::2] = -0.0
+        x[40:60] = 1e150 * rng.standard_normal((20, d))
+        x[60:80] = 1e-150 * rng.standard_normal((20, d))
+        got = sphere._row_norms(x)
+        want = np.linalg.norm(x, axis=1)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got).any()
+
     def test_zero_norm_row_is_redrawn_after_the_rest(self):
         class Scripted:
             """Returns zeros for one row of the first draw, then the redraw."""
@@ -208,6 +222,26 @@ class TestSampleSphere:
         assert fake.calls == [(n, 2), (1, 2)]
         assert np.array_equal(pts[n - 2], [0.6, 0.8])
         assert np.array_equal(np.delete(pts, n - 2, axis=0), np.full((n - 1, 2), 1.0 / math.sqrt(2.0)))
+
+    def test_zero_rows_redrawn_in_row_order_until_nonzero(self):
+        # Two zero rows in different blocks; the first redraw of the earlier
+        # one is zero again, so it is redrawn alone in a third call.
+        n, rows = 2 * _BLOCK + 5, [7, _BLOCK + 1]
+        first = np.full((n, 3), 2.0)
+        first[rows] = -0.0
+        script = [first, np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]]), np.array([[2.0, 3.0, 6.0]])]
+        calls = []
+
+        class Scripted:
+            def standard_normal(self, shape):
+                calls.append(shape)
+                return script[len(calls) - 1].copy()
+
+        pts = sample_sphere(3, Scripted(), n)
+        assert calls == [(n, 3), (2, 3), (1, 3)]
+        assert np.array_equal(pts[rows[0]], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0])
+        assert np.array_equal(pts[rows[1]], [0.0, 0.6, 0.8])
+        assert np.array_equal(np.delete(pts, rows, axis=0), np.full((n - 2, 3), 1.0 / math.sqrt(3.0)))
 
     def test_mean_near_zero(self, rng):
         n = 100_000
