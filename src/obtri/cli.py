@@ -115,10 +115,10 @@ def cmd_table(args) -> str:
     lines = ["d,base_n,n_max,lower_bound,asymptotic,naive"]
     for d in range(lo, hi + 1):
         res = limit_bound(d, args.n_max)
-        naive = float(naive_bound(d)) if d >= 4 else ""
+        naive = repr(float(naive_bound(d))) if d >= 4 else ""
         lines.append(
             f"{d},{res.base_n},{args.n_max},{float(res.lower_bound)!r},"
-            f"{float(asymptotic_bound(d))!r},{naive!r}"
+            f"{float(asymptotic_bound(d))!r},{naive}"
         )
     return "\n".join(lines) + "\n"
 

@@ -52,7 +52,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class ArcTripleParams:
             raise ValueError(f"delta must be positive, got {self.delta!r}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not (self.radius_scale > 0.0):
-            raise ValueError(f"radius_scale must be positive, got {self.radius_scale!r}")
+        if not (0.0 < self.radius_scale < math.inf):
+            raise ValueError(f"radius_scale must be finite and > 0, got {self.radius_scale!r}")
         for name, extent in (("A", self.delta / (self.radius_scale * 1.0)),
                              ("C", self.eps * self.delta / (self.radius_scale * 1.0)),
                              ("B", self.eps ** 2 * self.delta /
@@ -100,8 +100,7 @@ class ArcTripleParams:
                 raise ValueError(f"angular extent of the {name}-arc is {extent:.3g} >= pi/8")
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "delta": self.delta, "eps": self.eps,
-                "radius_scale": self.radius_scale}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -318,8 +317,7 @@ class FixedPointResult:
     residual: float
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "acute": self.acute, "obtuse": self.obtuse,
-                "residual": self.residual}
+        return asdict(self)
 
 
 def maximize_acute() -> FixedPointResult:
@@ -406,8 +404,7 @@ class SelfSimilarParams:
         return probs
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "rho": self.rho, "cap_half_angle": self.cap_half_angle,
-                "arc": self.arc.to_dict(), "max_depth": self.max_depth}
+        return asdict(self)
 
 
 class SelfSimilarSampler:
@@ -489,6 +486,7 @@ class SelfSimilarReport:
     obtuse_hat: float
     acute_hat: float
     ci95: tuple[float, float]
+    tail_mass: float                                  # (1-p)^(max_depth+1), beyond the truncation
     category_weights: tuple[float, float, float]      # analytic, shallow-count 1,2,3
     category_frequencies: tuple[float, float, float]  # observed
     category_acute: tuple[float, float, float]        # observed acute rate per category
@@ -497,23 +495,7 @@ class SelfSimilarReport:
     accounting_sigma: float
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "counts": {cls.value: cnt for cls, cnt in self.counts.items()},
-            "obtuse_hat": self.obtuse_hat,
-            "acute_hat": self.acute_hat,
-            "ci95": list(self.ci95),
-            "tail_mass": self.params.tail_mass,
-            "category_weights": list(self.category_weights),
-            "category_frequencies": list(self.category_frequencies),
-            "category_acute": list(self.category_acute),
-            "fixed_point_acute": self.fixed_point_acute,
-            "accounting_gap": self.accounting_gap,
-            "accounting_sigma": self.accounting_sigma,
-        }
+        return asdict(self)
 
 
 SELF_SIMILAR_TOL = 1e-15
@@ -569,6 +551,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
         obtuse_hat=obtuse / samples,
         acute_hat=acute_hat,
         ci95=(lo, hi),
+        tail_mass=params.tail_mass,
         category_weights=tuple(weights.tolist()),
         category_frequencies=tuple(cat_freq.tolist()),
         category_acute=tuple(cat_acute.tolist()),
@@ -609,8 +592,8 @@ class SingleArcSampler:
     def __init__(self, arc_angle: float, radius: float = 1.0):
         if not (0.0 < arc_angle <= math.pi):
             raise ValueError(f"arc_angle must lie in (0, pi], got {arc_angle!r}")
-        if radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {radius!r}")
+        if not (0.0 < radius < math.inf):
+            raise ValueError(f"radius must be finite and > 0, got {radius!r}")
         self.arc_angle = arc_angle
         self.radius = radius
 
@@ -631,8 +614,8 @@ class MixtureSampler:
         if len(dims) != 1:
             raise ValueError(f"mixture components must share a dimension, got {sorted(dims)}")
         weights = np.array([w for w, _ in components], dtype=float)
-        if np.any(weights <= 0.0):
-            raise ValueError("mixture weights must be positive")
+        if not np.all((weights > 0.0) & (weights < math.inf)):
+            raise ValueError(f"mixture weights must be finite and > 0, got {weights.tolist()}")
         self.weights = weights / weights.sum()
         self.samplers = [s for _, s in components]
         self.dim = self.samplers[0].dim

@@ -16,6 +16,7 @@ Obtuse, so every triangle lands in exactly one class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +27,7 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
-class TriangleClass(Enum):
+class TriangleClass(str, Enum):
     ACUTE = "acute"
     RIGHT = "right"
     OBTUSE = "obtuse"
@@ -166,8 +167,8 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     largest squared edge length.  ``min_abs / scale`` is the normalized
     right-angle margin that the annealing search maximizes.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if b is None and c is None:
         ab, ac, bc = _block_edges(a)
     elif b is None or c is None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,16 +131,7 @@ class Estimate:
             raise ValueError(f"class counts sum to {total}, expected {self.samples}")
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "counts": {cls.value: cnt for cls, cnt in self.counts.items()},
-            "p_hat": self.p_hat,
-            "ci95": list(self.ci95),
-            "seed": self.seed,
-            "shard_size": self.shard_size,
-            "tol": self.tol,
-            "spec": self.spec,
-        }
+        return asdict(self)
 
 
 def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: float,

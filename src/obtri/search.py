@@ -25,16 +25,17 @@ from itertools import combinations
 
 import numpy as np
 
-from obtri.bounds import closed_form_2d, closed_form_3d
+from obtri.bounds import base_case, closed_form_2d, closed_form_3d
 from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
     TriangleClass,
-    class_counts,
     classify_exact,
+    count_classes,
     measure_batch,
     triple_blocks,
 )
+from obtri.sphere import sample_sphere
 
 MODES = ("non-acute", "strict-obtuse")
 
@@ -82,11 +83,9 @@ class SearchParams:
 
 def closed_form_bound(n: int, d: int) -> int | None:
     """Closed-form minimum obtuse count for d in {2, 3}, if defined at n."""
-    if d == 2 and n >= 4:
-        return closed_form_2d(n)
-    if d == 3 and n >= 6:
-        return closed_form_3d(n)
-    return None
+    if d not in (2, 3) or n < base_case(d):
+        return None
+    return closed_form_2d(n) if d == 2 else closed_form_3d(n)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class SearchResult:
             "params": self.params.to_dict(),
             "points": self.best.points.tolist(),
             "best_count": self.best_count,
-            "counts": {cls.value: cnt for cls, cnt in self.counts.items()},
+            "counts": self.counts,
             "margin": self.margin,
             "bound": self.bound,
             "gap": self.gap,
@@ -141,11 +140,9 @@ def _initial_points(rng: np.random.Generator, params: SearchParams, restart: int
             return regular_polygon(params.n)
         if params.n == 2 * params.d:
             return cross_polytope(params.d)
-    pts = rng.standard_normal((params.n, params.d))
-    radii = rng.random(params.n) ** (1.0 / params.d)
-    norms = np.linalg.norm(pts, axis=1)
-    norms[norms == 0.0] = 1.0
-    return pts / norms[:, None] * radii[:, None]
+    # Uniform in the unit ball: a uniform direction scaled by a radius U^(1/d).
+    directions = sample_sphere(params.d, rng, params.n)
+    return directions * (rng.random(params.n) ** (1.0 / params.d))[:, None]
 
 
 def search_min(params: SearchParams) -> SearchResult:
@@ -224,7 +221,7 @@ def search_min(params: SearchParams) -> SearchResult:
             best_pts, best_count, best_margin = local_pts, local_count, local_margin
 
     config = Configuration(points=best_pts)
-    counts = class_counts(np.bincount(measure(best_pts, *idx.T)[0], minlength=4))
+    counts = count_classes(config, params.tol)
     bound = closed_form_bound(params.n, params.d) if params.mode == "non-acute" else None
     if bound is not None and best_count < bound:
         raise InvariantViolation(
@@ -260,13 +257,19 @@ class ExactCounts:
 
 
 def certify_result_json(text: str) -> ExactCounts:
-    """Replay a persisted SearchResult JSON through the exact classifier.
+    """Replay a persisted search result through the exact classifier.
 
-    The stored coordinates are floats, so the certification is exact for
-    the stored binary rationals and flagged accordingly.
+    ``text`` is an ``obtri search --output`` document (points under
+    ``"result"``) or a bare ``SearchResult.to_dict()``; one without points
+    raises ValueError.  The stored coordinates are floats, so the
+    certification is exact for the stored binary rationals and flagged
+    accordingly.
     """
     obj = json.loads(text)
-    return enumerate_exact(obj["points"])
+    result = obj.get("result", obj) if isinstance(obj, dict) else None
+    if not isinstance(result, dict) or "points" not in result:
+        raise ValueError("search result JSON holds no points")
+    return enumerate_exact(result["points"])
 
 
 def enumerate_exact(points) -> ExactCounts:

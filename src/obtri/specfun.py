@@ -249,8 +249,8 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
 

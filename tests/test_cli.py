@@ -55,6 +55,13 @@ class TestTable:
             run(["table", "--dims", "8..4"], capsys)
         assert err.value.code == EXIT_USAGE
 
+    def test_naive_field_empty_below_four(self, capsys):
+        code, out, _ = run(["table", "--dims", "2..4", "--n-max", "200"], capsys)
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:-1]]
+        assert [row[-1] for row in rows[:2]] == ["", ""]
+        assert float(rows[2][-1]) > 0.0
+
 
 class TestSphere:
     def test_quadrature_only(self, capsys):
@@ -132,6 +139,23 @@ class TestMc:
         assert err.startswith("error:") and spec["kind"] in err
         assert out == ""
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "mixture", "params": {"components": ['
+        '{"weight": NaN, "spec": {"kind": "sphere", "params": {"d": 2}}}]}}',
+        '{"kind": "single_arc", "params": {"arc_angle": 0.4, "radius": NaN}}',
+        '{"kind": "arc_triple", "params": {"alpha": 0.001, "delta": 0.0001, "eps": 0.1, '
+        '"radius_scale": Infinity}}',
+    ], ids=["mixture-nan-weight", "single-arc-nan-radius", "arc-triple-infinite-scale"])
+    def test_nonfinite_spec_value_is_usage_error(self, tmp_path, capsys, text):
+        # json reads NaN and Infinity, so the samplers have to refuse them.
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, err = run(["mc", "--spec", str(path), "--samples", "10", "--seed", "1"],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "finite" in err
+        assert out == ""
+
     def test_missing_spec_file(self, capsys):
         code, _, err = run(["mc", "--spec", "/nonexistent.json",
                             "--samples", "10", "--seed", "1"], capsys)
@@ -174,6 +198,34 @@ class TestSearch:
         code, _, err = run(["search", "--n", "4", "--dim", "2", "--seed", "1"], capsys)
         assert code == EXIT_INVARIANT
         assert "invariant" in err
+
+    def test_count_below_bound_exits_four(self, capsys, monkeypatch):
+        # search_min's own trap: no configuration reaches a bound this high.
+        import obtri.search as search_mod
+        monkeypatch.setattr(search_mod, "closed_form_bound", lambda n, d: 10 ** 9)
+        code, out, err = run(["search", "--n", "4", "--dim", "2", "--iterations", "20",
+                              "--restarts", "1", "--seed", "1"], capsys)
+        assert code == EXIT_INVARIANT
+        assert "below the proven bound 1000000000" in err
+        assert out == ""
+
+
+class TestNonFiniteTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--spec", "SPEC", "--samples", "1000", "--seed", "1"],
+        ["search", "--n", "4", "--dim", "2", "--iterations", "10", "--restarts", "1",
+         "--seed", "1"],
+        ["sphere", "--dim", "3"],
+    ], ids=["mc", "search", "sphere"])
+    def test_usage_error(self, argv, tol, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "sphere", "params": {"d": 3}}))
+        argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+        code, out, err = run(argv + ["--tol", tol], capsys)
+        assert code == EXIT_USAGE
+        assert "tol must be finite" in err
+        assert out == ""
 
 
 class TestSelfSimilar:

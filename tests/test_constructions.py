@@ -122,6 +122,11 @@ class TestArcTripleGeometry:
         with pytest.raises(ValueError):
             # B-arc angular extent delta/(2 sin alpha) beyond pi/8
             ArcTripleParams(alpha=1e-6, delta=1.0, eps=0.9)
+        # An infinite scale passes every arc-extent check but puts the arc
+        # centres at infinity, which gives NaN points.
+        for radius_scale in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius_scale must be finite"):
+                ArcTripleParams(alpha=1e-2, delta=1e-3, eps=0.1, radius_scale=radius_scale)
 
 
 class TestPatternLabel:

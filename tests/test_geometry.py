@@ -56,6 +56,13 @@ class TestClassifyTriangle:
         with pytest.raises(ValueError):
             classify_triangle((0, 0), (1, 0), (0, 1), tol=-1e-3)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_nonfinite_tol_rejected(self, tol):
+        # A NaN tolerance would call every triangle acute, an infinite one
+        # every triangle degenerate.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            measure_batch(np.zeros((1, 3, 2)), tol=tol)
+
     def test_permutation_invariance(self, rng):
         import itertools
         for _ in range(25):
@@ -100,6 +107,11 @@ class TestExactClassification:
     def test_square_exact(self):
         sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
         assert classify_exact(sq[0], sq[1], sq[2]) is R
+
+    def test_collinear_and_coincident_exact(self):
+        third = Fraction(1, 3)
+        assert classify_exact((0, 0), (third, 2 * third), (1, 2)) is D
+        assert classify_exact((third, 1), (third, 1), (2, 5)) is D
 
     def test_octahedron_faces(self):
         assert classify_exact(OCTAHEDRON_EXACT[0], OCTAHEDRON_EXACT[2], OCTAHEDRON_EXACT[4]) is A

@@ -289,6 +289,22 @@ class TestSpecsAndMixtures:
         with pytest.raises(ValueError):
             build_sampler(spec)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_mixture_nonfinite_weight(self, weight):
+        # A NaN weight would make every normalized weight NaN, and every
+        # point would then come from the last component.
+        spec = DistributionSpec(kind="mixture", params={"components": [
+            {"weight": weight, "spec": {"kind": "sphere", "params": {"d": 2}}},
+            {"weight": 1.0, "spec": {"kind": "single_arc", "params": {"arc_angle": 0.3}}},
+        ]})
+        with pytest.raises(ValueError, match="mixture weights must be finite"):
+            build_sampler(spec)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_single_arc_nonfinite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            SingleArcSampler(arc_angle=0.5, radius=radius)
+
     def test_mixture_of_arcs_still_obtuse(self):
         # two tiny arcs of the same circle, each sub-semicircle, mixed: any
         # triple within one arc is obtuse; cross-arc triples vary.  With one

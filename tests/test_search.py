@@ -175,6 +175,25 @@ class TestCertifyResultJson:
         assert cert.nonacute() >= result.best_count
 
 
+    def test_certifies_cli_output_file(self, tmp_path):
+        from obtri.cli import EXIT_OK, main
+        from obtri.search import certify_result_json
+        path = tmp_path / "search.json"
+        assert main(["search", "--n", "6", "--dim", "3", "--iterations", "300",
+                     "--restarts", "1", "--seed", "5", "--output", str(path)]) == EXIT_OK
+        result = json.loads(path.read_text())["result"]
+        cert = certify_result_json(path.read_text())
+        assert cert == enumerate_exact(result["points"])
+        assert sum(cert.counts.values()) == 20
+        assert cert.nonacute() >= result["bound"]
+
+    @pytest.mark.parametrize("text", ['{"manifest": {}, "result": {}}', '{"n": 4}', '[]'])
+    def test_document_without_points(self, text):
+        from obtri.search import certify_result_json
+        with pytest.raises(ValueError, match="no points"):
+            certify_result_json(text)
+
+
 def _evaluate_all(points, idx, mode, tol):
     """Objective count and minimum normalized margin, recomputed over every triple."""
     a, b, c = points[idx[:, 0]], points[idx[:, 1]], points[idx[:, 2]]

@@ -215,6 +215,11 @@ class TestIntegrate:
             integrate(math.sin, 0.0, float("inf"), 1e-8)
         with pytest.raises(ValueError):
             integrate(math.sin, 0.0, 1.0, -1.0)
+        # NaN fails every comparison, and an infinite tolerance would accept
+        # the first panel whatever its error.
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                integrate(math.sin, 0.0, 1.0, tol)
 
 
 class TestJsonFixtures:
