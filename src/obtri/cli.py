@@ -22,6 +22,7 @@ failure, 4 invariant violation (a result contradicting a proven bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -241,7 +242,9 @@ def cmd_replay(args) -> int:
         return main(argv)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="obtri",
         description="Lower bounds, constructions and Monte Carlo estimates for "

@@ -145,6 +145,24 @@ def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges[..., 0, :], edges[..., 2, :], edges[..., 1, :]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row dot products of two (..., d) arrays.
+
+    In the plane they are written out as u0*v0 + u1*v1: a two-term sum has
+    one rounding whatever the order, so this equals ``einsum`` bit for bit
+    except that an exact zero may come out as -0.0 where ``einsum`` (which
+    adds into a zeroed output) gives +0.0.  The kernel only compares the
+    dot products and takes their absolute values, so its results do not
+    change, and the plain form costs three ufunc calls instead of one
+    ``einsum`` call with a much larger fixed cost.  From d = 3 on
+    ``einsum`` stays: its summation order follows numpy's SIMD dispatch,
+    and the pinned counts were computed with it.
+    """
+    if u.shape[-1] == 2:
+        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    return np.einsum("...i,...i->...", u, v)
+
+
 def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
                   tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triangle-measure kernel: class codes with the quantities behind them.
@@ -179,12 +197,12 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         ab = b - a
         ac = c - a
         bc = c - b
-    dot_a = np.einsum("...i,...i->...", ab, ac)
-    dot_b = -np.einsum("...i,...i->...", ab, bc)
-    dot_c = np.einsum("...i,...i->...", ac, bc)
-    l_ab = np.einsum("...i,...i->...", ab, ab)
-    l_ac = np.einsum("...i,...i->...", ac, ac)
-    l_bc = np.einsum("...i,...i->...", bc, bc)
+    dot_a = _dot(ab, ac)
+    dot_b = -_dot(ab, bc)
+    dot_c = _dot(ac, bc)
+    l_ab = _dot(ab, ab)
+    l_ac = _dot(ac, ac)
+    l_bc = _dot(bc, bc)
     # The (..., d) edge vectors are the largest temporaries: drop them as soon
     # as they are used, so a Monte Carlo shard's peak memory stays low.  (In
     # block form the three share one buffer, freed with the last of them.)
@@ -256,13 +274,21 @@ def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[Trian
     """Class counts over all C(n, 3) triples of a configuration.
 
     Counts are exact Python ints and always sum to C(n, 3).  Triples are
-    classified one ``triple_blocks`` block at a time.
+    classified one ``triple_blocks`` block at a time, from endpoints gathered
+    once: the pairs j < k in ``triu_indices`` order run by j, so block i's
+    pairs (those with j > i) are a contiguous suffix of them, classified
+    against point i broadcast to the block's shape.
     """
     pts = config.points
+    n = config.n
+    j, k = np.triu_indices(n, 1)
+    b_all, c_all = pts.take(j, axis=0), pts.take(k, axis=0)
     binc = np.zeros(4, dtype=np.int64)
-    for block in triple_blocks(config.n):
-        a, b, c = (pts.take(block[:, col], axis=0) for col in range(3))
-        codes = classify_batch(a, b, c, tol)
+    start = 0
+    for i in range(n - 2):
+        start += n - 1 - i  # pairs whose first index is i or less
+        b, c = b_all[start:], c_all[start:]
+        codes = classify_batch(np.broadcast_to(pts[i], b.shape), b, c, tol)
         binc += np.bincount(codes, minlength=4)
     return class_counts(binc)
 

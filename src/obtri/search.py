@@ -35,6 +35,7 @@ from obtri.geometry import (
     measure_batch,
     triple_blocks,
 )
+from obtri.mc import SeedPolicy
 from obtri.sphere import sample_sphere
 
 MODES = ("non-acute", "strict-obtuse")
@@ -70,6 +71,7 @@ class SearchParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be >= 1")
+        SeedPolicy(master_seed=self.seed)  # the Monte Carlo engine's seed check
 
     def to_dict(self) -> dict:
         return {
@@ -115,13 +117,6 @@ class SearchResult:
         }
 
 
-def _mode_count(counts_vec: np.ndarray, mode: str) -> int:
-    # counts_vec indexed acute, right, obtuse, degenerate
-    if mode == "strict-obtuse":
-        return int(counts_vec[2])
-    return int(counts_vec[1] + counts_vec[2] + counts_vec[3])
-
-
 def regular_polygon(n: int) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -159,20 +154,25 @@ def search_min(params: SearchParams) -> SearchResult:
             below the closed-form bound.
     """
     idx = np.concatenate(list(triple_blocks(params.n)))
-    # For each point, the triples that contain it: all a move has to re-measure.
+    # For each point, the triples that contain it: all a move has to re-measure,
+    # as flat corner indices (a, b, c of each triple in turn) for one gather.
     touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]
-    corners = [(idx[t, 0], idx[t, 1], idx[t, 2]) for t in touching]
+    corners = [idx[t].reshape(-1) for t in touching]
+    strict = params.mode == "strict-obtuse"
     cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
     shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
 
-    def measure(pts, i, j, k):
-        """Class codes and normalized margins min|dot|/scale of the triples (i, j, k)."""
-        codes, min_abs, scale = measure_batch(pts.take(i, axis=0), pts.take(j, axis=0),
-                                              pts.take(k, axis=0), params.tol)
+    def measure(pts, flat):
+        """Class codes and normalized margins min|dot|/scale of the triples
+        whose corners are ``flat``, measured as one (m, 3, d) block."""
+        tri = pts.take(flat, axis=0).reshape(-1, 3, params.d)
+        codes, min_abs, scale = measure_batch(tri, tol=params.tol)
         return codes, min_abs / np.maximum(scale, 1e-300)
 
     def objective(codes, margins):
-        return _mode_count(np.bincount(codes, minlength=4), params.mode), float(margins.min())
+        # Codes: 0 acute, 1 right, 2 obtuse, 3 degenerate.
+        count = np.count_nonzero(codes == 2) if strict else np.count_nonzero(codes)
+        return int(count), float(np.minimum.reduce(margins))
 
     best_pts: np.ndarray | None = None
     best_count = None
@@ -183,7 +183,7 @@ def search_min(params: SearchParams) -> SearchResult:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((params.seed, restart))))
         pts = np.array(_initial_points(rng, params, restart), dtype=float)
-        codes, margins = measure(pts, *idx.T)
+        codes, margins = measure(pts, idx.reshape(-1))
         count, margin = objective(codes, margins)
         local_pts, local_count, local_margin = pts.copy(), count, margin
         temp = T_INITIAL
@@ -196,7 +196,7 @@ def search_min(params: SearchParams) -> SearchResult:
             pts[k] = old + step
             t = touching[k]
             old_codes, old_margins = codes[t], margins[t]
-            codes[t], margins[t] = measure(pts, *corners[k])
+            codes[t], margins[t] = measure(pts, corners[k])
             cand_count, cand_margin = objective(codes, margins)
             accept = False
             if cand_count < count:
@@ -231,7 +231,7 @@ def search_min(params: SearchParams) -> SearchResult:
     return SearchResult(
         params=params,
         best=config,
-        best_count=int(best_count),
+        best_count=best_count,
         counts=counts,
         margin=best_margin,
         bound=bound,

@@ -177,6 +177,13 @@ class TestFixedpoint:
         assert lines[0] == "p,acute,obtuse"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_scan_without_points_is_usage_error(self, points, capsys):
+        code, out, err = run(["fixedpoint", "--scan", "--scan-points", points], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "at least 1 point" in err
+        assert out == ""
+
 
 class TestSearch:
     def test_search_json(self, capsys):
@@ -186,6 +193,20 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["result"]["bound"] == 1
         assert payload["result"]["best_count"] >= 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
+        code, out, err = run(["search", "--n", "4", "--dim", "2", "--iterations", "10",
+                              "--restarts", "1", "--seed", seed], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: master seed must fit in 64 bits\n"
+        assert out == ""
+
+    def test_largest_64_bit_seed_runs(self, capsys):
+        code, out, _ = run(["search", "--n", "4", "--dim", "2", "--iterations", "10",
+                            "--restarts", "1", "--seed", str(2 ** 64 - 1)], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["manifest"]["seed"] == 2 ** 64 - 1
 
     def test_invariant_violation_exit_code(self, capsys, monkeypatch):
         import obtri.cli as cli_mod

@@ -259,6 +259,11 @@ class TestFixedPoint:
         assert len(scan) == 99
         assert all(0 < p < 1 and 0 <= x <= 1 for p, x in scan)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_scan_needs_a_point(self, n):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            fixed_point_scan(n)
+
 
 class TestMaximizeAcute:
     def test_optimum_location(self):

@@ -9,6 +9,7 @@ from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE, random_rotation, regular_ngo
 from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
+    _dot,
     TriangleClass,
     classify_batch,
     classify_exact,
@@ -291,6 +292,80 @@ class TestMeasureBatch:
                              measure_batch(tri[..., 0, :], tri[..., 1, :], tri[..., 2, :], 1e-12)):
             assert got.shape == (4, 5)
             assert np.array_equal(got, want)
+
+
+def _wide_rows(rng, shape):
+    """Random rows with magnitudes from 1e-150 to 1e150 and some +0.0 and -0.0 entries."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-150.0, 150.0, size=shape)
+    zero = rng.random(shape) < 0.15
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+class TestPlanarDotProducts:
+    """At d = 2 the kernel writes its dot products as u0*v0 + u1*v1 instead of
+    calling einsum; both round the same two products once."""
+
+    def test_product_form_equals_einsum(self, rng):
+        u, v = _wide_rows(rng, (50_000, 2)), _wide_rows(rng, (50_000, 2))
+        got = _dot(u, v)
+        want = np.einsum("...i,...i->...", u, v)
+        assert np.array_equal(got, want)
+        # einsum adds into a zeroed output, so it turns an exact -0.0 into
+        # +0.0; adding +0.0 does the same and changes nothing else.
+        assert np.array_equal((got + 0.0).view(np.int64), want.view(np.int64))
+        assert np.any(np.signbit(got) & (got == 0.0))   # the case is exercised
+
+    def test_kernel_outputs_equal_einsum_kernel(self, rng):
+        tri = _wide_rows(rng, (50_000, 3, 2))
+        tri[:4000] = rng.integers(-2, 3, size=(4000, 3, 2)) * np.where(
+            rng.random((4000, 3, 2)) < 0.5, 1.0, -1.0)   # grid rows: right, collinear, -0.0
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        ab, ac, bc = b - a, c - a, c - b
+        dot = lambda u, w: np.einsum("...i,...i->...", u, w)
+        dots = (dot(ab, ac), -dot(ab, bc), dot(ac, bc))
+        min_abs = np.minimum(np.abs(dots[0]), np.minimum(np.abs(dots[1]), np.abs(dots[2])))
+        scale = np.maximum(dot(ab, ab), np.maximum(dot(ac, ac), dot(bc, bc)))
+        for form in (measure_batch(a, b, c), measure_batch(tri, tol=1e-12)):
+            codes, got_min_abs, got_scale = form
+            assert np.array_equal(got_min_abs.view(np.int64), min_abs.view(np.int64))
+            assert np.array_equal(got_scale.view(np.int64), scale.view(np.int64))
+        assert {1, 2, 3} <= set(np.unique(codes[:4000]).tolist())
+
+
+def _count_classes_per_triple(config, tol=1e-12):
+    """Brute-force oracle: each ``itertools.combinations`` triple classified alone."""
+    pts = config.points
+    counts = {A: 0, R: 0, O: 0, D: 0}
+    for i, j, k in itertools.combinations(range(config.n), 3):
+        code = classify_batch(pts[i:i + 1], pts[j:j + 1], pts[k:k + 1], tol)[0]
+        counts[[A, R, O, D][code]] += 1
+    return counts
+
+
+class TestCountClassesMatchesPerTriple:
+    @pytest.mark.parametrize("n", [3, 4, 17, 40])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_gaussian(self, n, d, rng):
+        config = Configuration(points=rng.standard_normal((n, d)))
+        assert count_classes(config) == _count_classes_per_triple(config)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 40])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_integer_grid(self, n, d, rng):
+        # The first n points of a small integer grid in raster order, shuffled:
+        # they fill whole lines (and from n = 17 on, more than one), so
+        # collinear and right triples abound.
+        side = {2: 7, 3: 4, 5: 3}[d]
+        cells = rng.permutation(n)
+        pts = np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+        config = Configuration(points=pts)
+        counts = count_classes(config)
+        assert counts == _count_classes_per_triple(config)
+        assert count_classes(config, tol=0.0) == _count_classes_per_triple(config, tol=0.0)
+        assert counts[D] > 0
+        if n >= 17:
+            assert counts[R] > 0
 
 
 class TestCountClassesMatchesOneBatch:

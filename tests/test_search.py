@@ -17,7 +17,6 @@ from obtri.search import (
     SearchParams,
     SearchResult,
     _initial_points,
-    _mode_count,
     cross_polytope,
     enumerate_exact,
     closed_form_bound,
@@ -210,7 +209,8 @@ def _evaluate_all(points, idx, mode, tol):
                                   np.einsum("ij,ij->i", bc, bc)))
     min_abs = np.minimum(np.abs(dot_a), np.minimum(np.abs(dot_b), np.abs(dot_c)))
     margin = float(np.min(min_abs / np.maximum(scale, 1e-300)))
-    return _mode_count(vec, mode), margin
+    count = vec[2] if mode == "strict-obtuse" else vec[1] + vec[2] + vec[3]
+    return int(count), margin
 
 
 def search_min_full_recompute(params):
