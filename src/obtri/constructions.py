@@ -52,13 +52,14 @@ import json
 import logging
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
-from obtri.mc import DEFAULT_SHARD_SIZE, _blockwise, _count_strata, wilson_interval
-from obtri.sphere import sample_sphere
+from obtri.mc import _BLOCK, DEFAULT_SHARD_SIZE, _blockwise, _chunk_bounds, _count_strata, wilson_interval
+from obtri.sphere import sample_sphere, sphere_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -196,10 +197,35 @@ class ArcTripleSampler:
             for arc in (self.geometry.arcs[name] for name in ARC_NAMES)
         ]).T
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        which = rng.integers(0, 3, size=n)
-        u = rng.random(n) - 0.5
-        return _blockwise(self._gathered_points, np.empty((n, 2)), which, u)
+    def sample(self, rng: np.random.Generator, n: int, consume=None):
+        """n points, shape (n, 2); with ``consume``, returns
+        ``consume(sample_chunks(rng, n, 3 * _BLOCK))`` instead, the form in
+        which a Monte Carlo shard is drawn and counted (see :mod:`obtri.mc`)."""
+        if consume is None:
+            return next(self.sample_chunks(rng, n, max(n, 1)))
+        return consume(self.sample_chunks(rng, n, 3 * _BLOCK))
+
+    def sample_chunks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        """The n points of ``sample(rng, n)`` in order, in chunks of at most
+        ``rows`` rows.
+
+        Draws come in the order of one whole draw: every point's arc index
+        (kept as one byte a point), then the arc-length offsets.  Both are
+        taken chunk by chunk, which gives the values of one whole draw, so
+        no array of n draws is allocated.  Every chunk of points is written
+        into one buffer (with one chunk, the result), so a chunk is valid
+        until the next is requested.
+        """
+        bounds = _chunk_bounds(n, rows)
+        which = np.empty(n, dtype=np.int8)
+        for lo, hi in bounds:
+            which[lo:hi] = rng.integers(0, 3, size=hi - lo)
+        u = np.empty(min(rows, n))
+        out = np.empty((min(rows, n), 2))
+        for lo, hi in bounds:
+            offsets = rng.random(out=u[:hi - lo])
+            offsets -= 0.5
+            yield _blockwise(self._gathered_points, out[:hi - lo], which[lo:hi], offsets)
 
     def _gathered_points(self, which: np.ndarray, u: np.ndarray) -> np.ndarray:
         length, radius, base_angle, vx, vy = self._arc_table.take(which, axis=1)
@@ -301,7 +327,8 @@ def fixed_point_acute(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     q = 1.0 - p
-    return (3.0 * q * p * p + ACUTE_FRACTION_LIMIT * p ** 3) / (1.0 - q ** 3)
+    # 1 - q^3 = p(3 - 3p + p^2), which is 3p where q rounds to 1.
+    return (3.0 * q * p * p + ACUTE_FRACTION_LIMIT * p ** 3) / (1.0 - q ** 3 if q < 1.0 else 3.0 * p)
 
 
 def fixed_point_residual(p: float, x: float) -> float:
@@ -426,12 +453,24 @@ class SelfSimilarSampler:
                      params.max_depth, params.tail_mass)
 
     def sample_levels(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._draw_levels(rng, n, max(n, 1))
+
+    def _draw_levels(self, rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
+        """The levels of n points, their uniforms drawn chunk by chunk of at
+        most ``rows`` (which gives the values of one whole draw)."""
         p = self.params.p
+        bounds = _chunk_bounds(n, rows)
+        levels = np.zeros(n, dtype=np.int64)
         if p >= 1.0:
-            return np.zeros(n, dtype=np.int64)
-        u = rng.random(n)
-        lev = np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-        return np.minimum(lev, self.params.max_depth)
+            return levels
+        u = np.empty(min(rows, n))
+        for lo, hi in bounds:
+            # Clamped before the cast: for a tiny p the level, about 1/p,
+            # would overflow int64 (or, for a subnormal p, the float).
+            with np.errstate(over="ignore"):
+                lev = np.floor(np.log1p(-rng.random(out=u[:hi - lo])) / math.log1p(-p))
+            levels[lo:hi] = np.minimum(lev, self.params.max_depth)
+        return levels
 
     # Azimuthal offset between consecutive levels (golden angle).  The caps
     # share an axis, but rotating each level's arc layout about it keeps
@@ -457,13 +496,40 @@ class SelfSimilarSampler:
         out[:, 2] = r * np.cos(psi)
         return out
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample_with_levels(rng, n)[0]
+    def sample(self, rng: np.random.Generator, n: int, consume=None):
+        """n points, shape (n, 3); with ``consume``, returns
+        ``consume(sample_chunks(rng, n, 3 * _BLOCK))`` instead."""
+        if consume is None:
+            return self.sample_with_levels(rng, n)[0]
+        return consume(self.sample_chunks(rng, n, 3 * _BLOCK))
 
-    def sample_with_levels(self, rng: np.random.Generator, n: int):
-        levels = self.sample_levels(rng, n)
-        planar = self._arc_sampler.sample(rng, n)
-        return _blockwise(self._cap_points, np.empty((n, 3)), planar, levels), levels
+    def sample_with_levels(self, rng: np.random.Generator, n: int, consume=None):
+        """n points, shape (n, 3), and their levels; with ``consume``,
+        returns ``consume(level_chunks(rng, n, 3 * _BLOCK))`` instead."""
+        if consume is None:
+            return next(self.level_chunks(rng, n, max(n, 1)))
+        return consume(self.level_chunks(rng, n, 3 * _BLOCK))
+
+    def sample_chunks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        return (pts for pts, _ in self.level_chunks(rng, n, rows))
+
+    def level_chunks(self, rng: np.random.Generator, n: int,
+                     rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``sample_with_levels(rng, n)`` in order, as (points, levels)
+        chunks of at most ``rows`` rows.
+
+        Draws come in the order of one whole draw: every point's level
+        uniform, then the in-cap layout's draws
+        (``ArcTripleSampler.sample_chunks``), all taken chunk by chunk.  The
+        levels of all n points are kept; every chunk of points is written
+        into one buffer (with one chunk, the result), so a chunk is valid
+        until the next is requested.
+        """
+        levels = self._draw_levels(rng, n, rows)
+        out = np.empty((min(rows, n), 3))
+        planar_chunks = self._arc_sampler.sample_chunks(rng, n, rows)
+        for (lo, hi), planar in zip(_chunk_bounds(n, rows), planar_chunks):
+            yield _blockwise(self._cap_points, out[:hi - lo], planar, levels[lo:hi]), levels[lo:hi]
 
 
 def _category_weights(params: SelfSimilarParams) -> np.ndarray:
@@ -518,16 +584,19 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     """
     sampler = SelfSimilarSampler(params)
 
-    def draw(rng, shard, n):  # stratum: points at the shallowest level, minus one
-        pts, levels = sampler.sample_with_levels(rng, 3 * n)
-        # Column-wise: numpy reduces a length-3 axis far slower.
-        l0, l1, l2 = levels.reshape(n, 3).T
-        shallow = np.minimum(np.minimum(l0, l1), l2)
-        n_at_shallow = (l0 == shallow).astype(np.int64) + (l1 == shallow) + (l2 == shallow)
-        return pts, n_at_shallow - 1
+    def stratified(chunks):  # stratum: points at the shallowest level, minus one
+        for pts, levels in chunks:
+            # Column-wise: numpy reduces a length-3 axis far slower.
+            l0, l1, l2 = levels.reshape(-1, 3).T
+            shallow = np.minimum(np.minimum(l0, l1), l2)
+            n_at_shallow = (l0 == shallow).astype(np.int64) + (l1 == shallow) + (l2 == shallow)
+            yield pts, n_at_shallow - 1
+
+    def draw(rng, shard, n, count):
+        return sampler.sample_with_levels(rng, 3 * n, consume=lambda chunks: count(stratified(chunks)))
 
     # Rows: shallow count 1, 2, 3.
-    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size)
+    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size, draw_counts=True)
     totals = cat_class.sum(axis=0)
     counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]
@@ -578,8 +647,15 @@ class SphereSampler:
     def dim(self) -> int:
         return self.d
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return sample_sphere(self.d, rng, n)
+    def sample(self, rng: np.random.Generator, n: int, consume=None):
+        """n points, shape (n, d); with ``consume``, returns
+        ``consume(sample_chunks(rng, n, 3 * _BLOCK))`` instead."""
+        if consume is None:
+            return sample_sphere(self.d, rng, n)
+        return consume(self.sample_chunks(rng, n, 3 * _BLOCK))
+
+    def sample_chunks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        return sphere_chunks(self.d, rng, n, rows)
 
 
 class SingleArcSampler:

@@ -7,28 +7,47 @@ counts are bit-identical for a fixed (draw, samples, seed, shard_size) no
 matter how many workers process the shards.  Reduction is exact integer
 addition and therefore order-independent.
 
-The stratum contract: a caller supplies ``draw(rng, shard, n)`` returning
-the ``3n`` points of ``n`` triples, shape ``(3n, dim)``, and each triple's
-stratum in ``[0, S)`` (an array of length ``n``, or one int for the whole
-shard).  The engine classifies the triples and returns an ``S x 4`` int64
-matrix: row ``s`` holds the class counts, in ``CLASS_ORDER``, of the
-triples in stratum ``s``.  ``estimate`` uses one stratum; the self-similar
-report stratifies by the number of points at a triple's shallowest level,
-and the arc-pattern report gives each of its patterns a shard and a stratum.
+The draw contract: a caller supplies ``draw(rng, shard, n)`` returning the
+shard's ``n`` triples as an iterable of chunks ``(points, stratum)``: the
+``3m`` points of ``m`` triples, shape ``(3m, dim)``, and each triple's
+stratum in ``[0, S)`` (an array of length ``m``, or one int for the whole
+chunk).  The chunks together hold the ``n`` triples, in any order, since
+reduction is integer addition; a ``(points, stratum)`` tuple is the
+one-chunk case.  The engine classifies each chunk as it arrives and returns
+an ``S x 4`` int64 matrix: row ``s`` holds the class counts, in
+``CLASS_ORDER``, of the triples in stratum ``s``.  ``estimate`` uses one
+stratum; the self-similar report stratifies by the number of points at a
+triple's shallowest level, and the arc-pattern report gives each of its
+patterns a shard and a stratum.  With ``draw_counts=True`` the engine
+calls ``draw(rng, shard, n, count)`` instead, which returns
+``count(chunks)``: the draw runs the engine's tally itself, so that a
+shard's draws and their classification happen inside one sampler call
+(``sample(rng, 3n, consume=...)``, whose ``consume`` passes the sampler's
+chunks on to ``count``).  A failure of the draw or of its
+chunks' iteration is re-raised as ``SamplerError`` with the shard's
+position; a failure while a chunk is classified passes through.
 
-Blocks: a shard is classified ``_BLOCK`` triples at a time through
-``_blockwise``, the loop that the samplers' per-point formulas also run
-through, so a shard's temporaries are O(_BLOCK * dim) and stay in cache
-instead of each being as large as the shard's points.  Each block goes to
-``classify_batch`` as one C-contiguous (_BLOCK, 3, dim) array (its block
-form), which takes the edge vectors in passes over the whole block rather
-than in one dim-long loop per triple.  Every element is computed by the
-same operations as without blocks, so counts and sampled points are
-bit-identical to unblocked evaluation.
+Chunks and blocks: ``estimate`` and the self-similar report draw a shard in
+chunks of ``_BLOCK`` triples from the samplers' ``sample_chunks`` streams,
+which draw each chunk into buffers the shard reuses, so no (shard, dim)
+array of points exists.  Each chunk is classified ``_BLOCK`` triples at a
+time through ``_blockwise``, the loop that the samplers' per-point formulas
+also run through, so a shard's temporaries are O(_BLOCK * dim) and stay in
+cache.  Each block goes to ``classify_batch`` as one C-contiguous
+(_BLOCK, 3, dim) array (its block form), which takes the edge vectors in
+passes over the whole block rather than in one dim-long loop per triple.
+A stream draws from the shard's generator in the same order as one whole
+draw, and every element is computed by the same operations, so counts and
+sampled points are bit-identical to unchunked, unblocked evaluation.
 
 Any object with a ``dim`` attribute and a ``sample(rng, n) -> (n, dim)``
 method can be estimated; the distribution constructions in
-:mod:`obtri.constructions` all qualify.
+:mod:`obtri.constructions` all qualify.  One that also has
+``sample_chunks(rng, n, rows)``, yielding the points of ``sample(rng, n)``
+in chunks of at most ``rows`` rows, is streamed; its ``sample(rng, n,
+consume=f)`` must return ``f(sample_chunks(rng, n, 3 * _BLOCK))``.  A
+shard is then one ``sample`` call that draws and counts it, which is the
+call ``perfbench``'s tracer times as a shard's sampling.
 """
 
 from __future__ import annotations
@@ -44,9 +63,10 @@ from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts, classify_ba
 DEFAULT_SHARD_SIZE = 1 << 16
 
 # Rows per block of every loop over a shard: points in the samplers'
-# element-wise formulas, triples in classification.  Large enough that the
-# loop over blocks costs nothing, small enough that a block's temporaries
-# stay in cache, so a shard's peak memory is its points plus O(_BLOCK * dim).
+# element-wise formulas, triples in classification and in a streamed
+# shard's chunks.  Large enough that the loop over blocks costs nothing,
+# small enough that a block's temporaries stay in cache, so a streamed
+# shard's peak memory is O(_BLOCK * dim).
 _BLOCK = 1 << 12
 
 
@@ -56,6 +76,14 @@ def _blockwise(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
         rows = slice(lo, lo + _BLOCK)
         out[rows] = fn(*(a[rows] for a in arrays))
     return out
+
+
+def _chunk_bounds(n: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the consecutive chunks of at most ``rows`` of n rows; one
+    (0, 0) chunk when n is 0, so that a one-chunk stream yields its chunk."""
+    if rows < 1:
+        raise ValueError(f"chunk rows must be >= 1, got {rows}")
+    return [(lo, min(lo + rows, n)) for lo in range(0, max(n, 1), rows)]
 
 
 class SamplerError(RuntimeError):
@@ -135,7 +163,7 @@ class Estimate:
 
 
 def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: float,
-                  shard_size: int, workers: int = 1) -> np.ndarray:
+                  shard_size: int, workers: int = 1, *, draw_counts: bool = False) -> np.ndarray:
     """The ``strata x 4`` class counts of ``samples`` triples from ``draw``
     (see the module docstring for the contract)."""
     if samples < 1:
@@ -152,17 +180,36 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
         offset = shard * shard_size
         n = min(shard_size, samples - offset)
         rng = policy.rng_for_shard(shard)
+        table = np.zeros(4 * strata, dtype=np.int64)
+        counting = False  # while a chunk is classified and tallied
+
+        def failure(message: str) -> SamplerError:
+            return SamplerError(f"sampler failed in shard {shard} (triples {offset}..): {message}",
+                                shard=shard, sample_offset=offset)
+
+        def count(chunks) -> np.ndarray:
+            nonlocal counting, table
+            left = n
+            for pts, stratum in ([chunks] if isinstance(chunks, tuple) else chunks):
+                pts = np.asarray(pts, dtype=float)
+                m = len(pts) // 3 if pts.ndim == 2 else 0
+                if pts.shape != (3 * m, dim) or m > left:
+                    raise failure(f"chunk of shape {pts.shape}, expected (3m, {dim}) with m <= {left}")
+                counting = True
+                codes = _blockwise(classify, np.empty(m, dtype=np.int8), pts.reshape(m, 3, dim))
+                table += np.bincount(4 * np.asarray(stratum, dtype=np.intp) + codes, minlength=4 * strata)
+                counting = False
+                left -= m
+            if left:
+                raise failure(f"chunks hold {n - left} triples, expected {n}")
+            return table
+
         try:
-            pts, stratum = draw(rng, shard, n)
-        except Exception as exc:  # re-raise with position information
-            raise SamplerError(f"sampler failed in shard {shard} (triples {offset}..): {exc}",
-                               shard=shard, sample_offset=offset) from exc
-        pts = np.asarray(pts, dtype=float)
-        if pts.shape != (3 * n, dim):
-            raise SamplerError(f"sampler returned shape {pts.shape}, expected {(3 * n, dim)}",
-                               shard=shard, sample_offset=offset)
-        codes = _blockwise(classify, np.empty(n, dtype=np.int8), pts.reshape(n, 3, dim))
-        return np.bincount(4 * np.asarray(stratum, dtype=np.intp) + codes, minlength=4 * strata)
+            return draw(rng, shard, n, count) if draw_counts else count(draw(rng, shard, n))
+        except Exception as exc:  # re-raise the draw's own errors with position information
+            if counting or isinstance(exc, SamplerError):
+                raise
+            raise failure(str(exc)) from exc
 
     if workers == 1:
         parts = [count_shard(i) for i in range(n_shards)]
@@ -180,10 +227,15 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
     Bit-identical results for fixed (sampler, samples, seed, shard_size)
     regardless of ``workers``.
     """
-    def draw(rng, shard, n):
-        return sampler.sample(rng, 3 * n), 0
+    streamed = hasattr(sampler, "sample_chunks")
 
-    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers)
+    def draw(rng, shard, n, count=None):
+        if not streamed:
+            return sampler.sample(rng, 3 * n), 0
+        return sampler.sample(rng, 3 * n, consume=lambda chunks: count((pts, 0) for pts in chunks))
+
+    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers,
+                          draw_counts=streamed)
     counts = class_counts(table[0])
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)

@@ -27,10 +27,11 @@ quadrature's tolerance, so a single adaptive Gauss-Kronrod pass over
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-from obtri.mc import _blockwise
+from obtri.mc import _blockwise, _chunk_bounds
 from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma_half_ratio
 
 
@@ -127,25 +128,52 @@ def asymptotic_sphere(d: int) -> float:
 
 
 def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n uniform points on the unit sphere S^{d-1}, shape (n, d).
+    """n uniform points on the unit sphere S^{d-1}, shape (n, d): the one
+    chunk of ``sphere_chunks(d, rng, n, n)``.
 
-    Normalized standard normal deviates; the measure-zero zero-norm draw is
-    redrawn once all n are drawn.  Each block of rows is divided in place by
-    its own norms, so the only (n, d) array allocated is the result and no
-    length-n norm vector is held.
+    Normalized standard normal deviates, drawn as one (n, d) array; the
+    measure-zero zero-norm draw is redrawn once all n are drawn.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return next(sphere_chunks(d, rng, n, n))
+
+
+def sphere_chunks(d: int, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+    """The n points of ``sample_sphere(d, rng, n)`` in chunks of at most
+    ``rows`` rows, drawn from ``rng`` in the same order.
+
+    The rows are drawn chunk by chunk, each chunk's block of rows divided in
+    place by its own norms.  With one chunk (rows >= n) it is a fresh array;
+    otherwise every chunk is drawn into one buffer that the next overwrites,
+    so a chunk is valid until the next is requested.  Rows of zero norm are
+    redrawn as one whole draw would redraw them: after all n rows, in row
+    order, until none is zero.  A chunk that holds one is held back and
+    yielded after the redraws, so such chunks come last.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    pts = rng.standard_normal((n, d))
-    bad = np.flatnonzero(_blockwise(_normalize, np.empty(n, dtype=bool), pts))
-    while bad.size:
-        redraw = rng.standard_normal((bad.size, d))
-        zero = _normalize(redraw)
-        pts[bad] = redraw
-        bad = bad[zero]
-    return pts
+    bounds = _chunk_bounds(n, rows)
+    buf = np.empty((rows, d)) if rows < n else None
+    held, bad = [], []  # the held-back chunks, and their zero rows' indices in them
+    for lo, hi in bounds:
+        m = hi - lo
+        pts = rng.standard_normal((m, d)) if buf is None else rng.standard_normal(out=buf[:m])
+        zero = np.flatnonzero(_blockwise(_normalize, np.empty(m, dtype=bool), pts))
+        if zero.size:
+            bad.append(sum(map(len, held)) + zero)
+            held.append(pts.copy())
+        else:
+            yield pts
+    if held:
+        pts = np.concatenate(held)
+        bad = np.concatenate(bad)
+        while bad.size:
+            redraw = rng.standard_normal((bad.size, d))
+            zero = _normalize(redraw)
+            pts[bad] = redraw
+            bad = bad[zero]
+        yield from np.split(pts, np.cumsum([len(h) for h in held[:-1]]))
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:

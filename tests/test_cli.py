@@ -258,6 +258,13 @@ class TestSelfSimilar:
         assert abs(payload["result"]["obtuse_hat"] - 0.326) < 0.05
         assert payload["result"]["tail_mass"] < 1e-9
 
+    def test_tiny_p_reports_the_truncated_tail(self, capsys):
+        code, out, _ = run(["selfsimilar", "--p", "1e-300", "--samples", "2000", "--seed", "4"], capsys)
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert result["tail_mass"] == 1.0
+        assert sum(result["counts"].values()) == 2000
+
 
 class TestNumericalFailureExit:
     def test_exit_three(self, capsys, monkeypatch):

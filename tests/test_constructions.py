@@ -248,6 +248,12 @@ class TestFixedPoint:
         p = float(P_STAR_ORACLE)
         assert fixed_point_acute(p) == pytest.approx(float(X_STAR_ORACLE), abs=1e-12)
 
+    def test_p_below_double_precision(self):
+        # 1 - p rounds to 1, so 1 - (1 - p)^3 is 0 in floating point; x(p)
+        # is about p there.
+        assert fixed_point_acute(1e-17) == pytest.approx(1e-17, rel=1e-12)
+        assert fixed_point_acute(1e-300) == 0.0  # p^2 underflows
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fixed_point_acute(0.0)
@@ -332,6 +338,13 @@ class TestSelfSimilarSampler:
         sampler = SelfSimilarSampler(SelfSimilarParams(p=1.0))
         levels = sampler.sample_levels(rng, 1000)
         assert np.all(levels == 0)
+
+    @pytest.mark.parametrize("p", [1e-17, 1e-300, 5e-324])
+    def test_tiny_p_levels_stop_at_max_depth(self, rng, p):
+        # Untruncated levels are about 1/p, beyond int64 (and for a
+        # subnormal p beyond the largest double).
+        sampler = SelfSimilarSampler(SelfSimilarParams(p=p))
+        assert np.all(sampler.sample_levels(rng, 1000) == sampler.params.max_depth)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -430,16 +443,16 @@ class TestMcSelfSimilar:
         assert a.counts == b.counts
 
     def test_sampler_error_carries_shard_position(self, monkeypatch):
-        original = SelfSimilarSampler.sample_with_levels
+        original = SelfSimilarSampler.level_chunks
         calls = []
 
-        def fail_on_second_shard(self, rng, n):
+        def fail_on_second_shard(self, rng, n, rows):
             calls.append(n)
             if len(calls) == 2:
                 raise RuntimeError("boom")
-            return original(self, rng, n)
+            return original(self, rng, n, rows)
 
-        monkeypatch.setattr(SelfSimilarSampler, "sample_with_levels", fail_on_second_shard)
+        monkeypatch.setattr(SelfSimilarSampler, "level_chunks", fail_on_second_shard)
         with pytest.raises(SamplerError) as err:
             mc_self_similar(SelfSimilarParams(p=0.8), 250, seed=47, shard_size=100)
         assert err.value.shard == 1

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obtri.constructions import DistributionSpec, SingleArcSampler, SphereSampler, build_sampler
+from obtri import mc
+from obtri.constructions import (ArcTripleParams, ArcTripleSampler, DistributionSpec, SelfSimilarParams,
+                                 SelfSimilarSampler, SingleArcSampler, SphereSampler, build_sampler)
 from obtri.geometry import TriangleClass, classify_batch
-from obtri.mc import (_BLOCK, _Z95, Estimate, SamplerError, SeedPolicy, _count_strata, estimate,
-                      wilson_interval)
+from obtri.mc import (_BLOCK, _Z95, Estimate, SamplerError, SeedPolicy, _chunk_bounds, _count_strata,
+                      estimate, wilson_interval)
 
 
 class TestWilsonInterval:
@@ -180,6 +182,259 @@ class TestBlockedEngine:
         finally:
             tracemalloc.stop()
         assert peak <= points + 6 * block
+
+
+def shard_rng():
+    return SeedPolicy(master_seed=2024).rng_for_shard(5)
+
+
+class TestChunkedDraws:
+    """The stream property the chunked samplers rest on: a shard generator
+    drawn chunk by chunk, into a buffer each chunk reuses, gives the values
+    of one whole draw and ends at the same stream position."""
+
+    # An odd length, so the last chunk is partial at every chunk length.
+    N = 6 * _BLOCK + 5
+    ROWS = [3 * _BLOCK, 4097, 7]
+
+    @staticmethod
+    def same_position(a, b):
+        return np.array_equal(a.integers(0, 1 << 62, size=3), b.integers(0, 1 << 62, size=3))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_standard_normal_into_a_reused_buffer(self, rows):
+        d = 10
+        whole_rng, chunk_rng = shard_rng(), shard_rng()
+        whole = whole_rng.standard_normal((self.N, d))
+        buf, got = np.empty((rows, d)), np.empty((self.N, d))
+        for lo, hi in _chunk_bounds(self.N, rows):
+            got[lo:hi] = chunk_rng.standard_normal(out=buf[:hi - lo])
+        assert np.array_equal(got, whole)
+        assert self.same_position(whole_rng, chunk_rng)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_random_into_a_reused_buffer(self, rows):
+        whole_rng, chunk_rng = shard_rng(), shard_rng()
+        whole = whole_rng.random(self.N)
+        buf, got = np.empty(rows), np.empty(self.N)
+        for lo, hi in _chunk_bounds(self.N, rows):
+            got[lo:hi] = chunk_rng.random(out=buf[:hi - lo])
+        assert np.array_equal(got, whole)
+        assert self.same_position(whole_rng, chunk_rng)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_integers(self, rows):
+        # Odd chunk lengths leave half of a 64-bit draw over between calls.
+        whole_rng, chunk_rng = shard_rng(), shard_rng()
+        whole = whole_rng.integers(0, 3, size=self.N)
+        got = np.concatenate([chunk_rng.integers(0, 3, size=hi - lo)
+                              for lo, hi in _chunk_bounds(self.N, rows)])
+        assert np.array_equal(got, whole)
+        assert self.same_position(whole_rng, chunk_rng)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_self_similar_draw_order(self, rows):
+        # Level uniforms, then arc indices, then offsets, each in chunks.
+        whole_rng, chunk_rng = shard_rng(), shard_rng()
+        whole = [whole_rng.random(self.N), whole_rng.integers(0, 3, size=self.N), whole_rng.random(self.N)]
+        bounds = _chunk_bounds(self.N, rows)
+        buf, levels, offsets = np.empty(rows), np.empty(self.N), np.empty(self.N)
+        for lo, hi in bounds:
+            levels[lo:hi] = chunk_rng.random(out=buf[:hi - lo])
+        which = np.concatenate([chunk_rng.integers(0, 3, size=hi - lo) for lo, hi in bounds])
+        for lo, hi in bounds:
+            offsets[lo:hi] = chunk_rng.random(out=buf[:hi - lo])
+        for got, want in zip((levels, which, offsets), whole):
+            assert np.array_equal(got, want)
+        assert self.same_position(whole_rng, chunk_rng)
+
+    @pytest.mark.parametrize("sampler", [
+        SphereSampler(3), SphereSampler(10),
+        ArcTripleSampler(ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)),
+        SelfSimilarSampler(SelfSimilarParams(p=0.805187)),
+    ], ids=["sphere_d3", "sphere_d10", "arc_triple", "self_similar"])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_sampler_chunks_are_the_whole_sample(self, sampler, rows):
+        whole_rng, chunk_rng = shard_rng(), shard_rng()
+        whole = sampler.sample(whole_rng, self.N)
+        chunks = [c.copy() for c in sampler.sample_chunks(chunk_rng, self.N, rows)]
+        assert [len(c) for c in chunks] == [hi - lo for lo, hi in _chunk_bounds(self.N, rows)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert self.same_position(whole_rng, chunk_rng)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_self_similar_level_chunks(self, rows):
+        sampler = SelfSimilarSampler(SelfSimilarParams(p=0.6))
+        pts, levels = sampler.sample_with_levels(shard_rng(), self.N)
+        chunks = [(p.copy(), lev) for p, lev in sampler.level_chunks(shard_rng(), self.N, rows)]
+        assert np.array_equal(np.concatenate([p for p, _ in chunks]), pts)
+        assert np.array_equal(np.concatenate([lev for _, lev in chunks]), levels)
+
+    def test_empty_sample(self):
+        for sampler in (ArcTripleSampler(ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)),
+                        SelfSimilarSampler(SelfSimilarParams(p=0.5))):
+            assert sampler.sample(shard_rng(), 0).shape == (0, sampler.dim)
+
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_chunks_need_a_row(self, rows):
+        with pytest.raises(ValueError, match="chunk rows"):
+            _chunk_bounds(10, rows)
+        for sampler in (SphereSampler(3), ArcTripleSampler(ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)),
+                        SelfSimilarSampler(SelfSimilarParams(p=0.5))):
+            with pytest.raises(ValueError, match="chunk rows"):
+                next(sampler.sample_chunks(shard_rng(), 10, rows))
+
+    def test_sample_with_consume_streams_the_same_points(self):
+        # ``sample(rng, n, consume=f)`` hands ``f`` the chunks of
+        # ``sample_chunks(rng, n, 3 * _BLOCK)`` and returns what it returns.
+        for sampler in (SphereSampler(4), ArcTripleSampler(ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)),
+                        SelfSimilarSampler(SelfSimilarParams(p=0.6))):
+            whole = sampler.sample(shard_rng(), self.N)
+            chunks = sampler.sample(shard_rng(), self.N, consume=lambda it: [c.copy() for c in it])
+            assert [len(c) for c in chunks] == [hi - lo for lo, hi in _chunk_bounds(self.N, 3 * _BLOCK)]
+            assert np.array_equal(np.concatenate(chunks), whole)
+
+        sampler = SelfSimilarSampler(SelfSimilarParams(p=0.6))
+        pts, levels = sampler.sample_with_levels(shard_rng(), self.N)
+        chunks = sampler.sample_with_levels(shard_rng(), self.N,
+                                            consume=lambda it: [(p.copy(), lev) for p, lev in it])
+        assert np.array_equal(np.concatenate([p for p, _ in chunks]), pts)
+        assert np.array_equal(np.concatenate([lev for _, lev in chunks]), levels)
+
+
+def chunked(draw, order):
+    """``draw`` re-cut into chunks of 1,000 triples, yielded in ``order``
+    (a function of the chunk list)."""
+    def chunked_draw(rng, shard, n):
+        pts, stratum = draw(rng, shard, n)
+        stratum = np.broadcast_to(stratum, n)
+        bounds = _chunk_bounds(n, 1000)
+        return [(pts[3 * lo:3 * hi], stratum[lo:hi]) for lo, hi in order(bounds)]
+    return chunked_draw
+
+
+class TestStreamedShards:
+    """A draw may return a shard as a stream of chunks."""
+
+    @pytest.mark.parametrize("order", [lambda b: b, lambda b: b[::-1], lambda b: b[1::2] + b[::2]],
+                             ids=["in-order", "reversed", "interleaved"])
+    def test_chunk_order_does_not_matter(self, order):
+        draw = grid_draw(3, per_triple=True)
+        one = _count_strata(draw, 2, 3, 9_001, 5, 1e-12, 4_500)
+        many = _count_strata(chunked(draw, order), 2, 3, 9_001, 5, 1e-12, 4_500)
+        assert np.array_equal(many, one)
+        assert many.sum() == 9_001
+
+    def test_error_on_a_later_chunk_carries_shard_position(self):
+        def draw(rng, shard, n):
+            for k, (lo, hi) in enumerate(_chunk_bounds(n, 10)):
+                if shard == 1 and k == 2:
+                    raise RuntimeError("boom")
+                yield rng.random((3 * (hi - lo), 2)), 0
+
+        with pytest.raises(SamplerError) as err:
+            _count_strata(draw, 2, 1, 250, 1, 1e-12, 100)
+        assert (err.value.shard, err.value.sample_offset) == (1, 100)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("shapes", [
+        [(30, 2), (31, 2)],        # rows not a multiple of 3
+        [(30, 2), (30, 3)],        # wrong dimension
+        [(30, 2), (30,)],          # not 2-d
+        [(150, 2), (30, 2)],       # more triples than the shard
+        [(30, 2), (30, 2)],        # fewer triples than the shard
+    ], ids=["rows", "dim", "ndim", "too-many", "too-few"])
+    def test_chunk_shape_is_checked(self, shapes):
+        def draw(rng, shard, n):
+            return ((np.zeros(shape), 0) for shape in shapes)
+
+        with pytest.raises(SamplerError) as err:
+            _count_strata(draw, 2, 1, 50, 1, 1e-12, 50)
+        assert (err.value.shard, err.value.sample_offset) == (0, 0)
+
+    def test_classification_errors_are_not_sampler_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("classifier")
+
+        monkeypatch.setattr(mc, "classify_batch", broken)
+        with pytest.raises(ZeroDivisionError):
+            _count_strata(grid_draw(1, per_triple=False), 2, 1, 10, 1, 1e-12, 10)
+
+    def test_a_streamed_shard_is_one_sample_call(self, monkeypatch):
+        # Each shard is drawn and classified inside one ``sample`` call.
+        original, calls, inside = SphereSampler.sample, [], [False]
+
+        def sample(self, rng, n, consume=None):
+            calls.append((n, consume is not None))
+            inside[0] = True
+            try:
+                return original(self, rng, n, consume)
+            finally:
+                inside[0] = False
+
+        def classify(tri, tol):
+            assert inside[0]
+            return classify_batch(tri, tol=tol)
+
+        monkeypatch.setattr(SphereSampler, "sample", sample)
+        monkeypatch.setattr(mc, "classify_batch", classify)
+        estimate(SphereSampler(3), 2 * _BLOCK + 100, 7, shard_size=_BLOCK + 50)
+        assert calls == [(3 * (_BLOCK + 50), True)] * 2
+
+    def test_streamed_errors(self, monkeypatch):
+        class Streamed:
+            """A sampler whose chunk stream fails on shard 1's third chunk."""
+            dim = 2
+            streams = 0
+
+            def sample_chunks(self, rng, n, rows):
+                self.streams += 1
+                for k, (lo, hi) in enumerate(_chunk_bounds(n, 30)):
+                    if self.streams == 2 and k == 2:
+                        raise RuntimeError("boom")
+                    yield rng.random((hi - lo, 2))
+
+            def sample(self, rng, n, consume=None):
+                return consume(self.sample_chunks(rng, n, 30))
+
+        with pytest.raises(SamplerError) as err:
+            estimate(Streamed(), 250, 1, shard_size=100)
+        assert (err.value.shard, err.value.sample_offset) == (1, 100)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("classifier")
+
+        monkeypatch.setattr(mc, "classify_batch", broken)
+        with pytest.raises(ZeroDivisionError):
+            estimate(SphereSampler(3), 10, 1)
+
+    def test_estimate_streams_a_sampler_with_chunks(self):
+        # The same counts as a sampler offering only ``sample``.
+        class WholeOnly:
+            dim = 5
+
+            def sample(self, rng, n):
+                return SphereSampler(5).sample(rng, n)
+
+        samples = 3 * _BLOCK + (1 << 16) + 11
+        assert estimate(SphereSampler(5), samples, 4).counts == estimate(WholeOnly(), samples, 4).counts
+
+    # A streamed shard holds one chunk buffer of 3 * _BLOCK points and a
+    # block's classification temporaries, about two chunk buffers in all.
+    @pytest.mark.parametrize("d, workers", [(40, 1), (80, 2)])
+    def test_shard_memory_is_a_few_chunk_buffers(self, d, workers):
+        # One 65,536-triple shard per worker, whose points would take 63 MB
+        # at d = 40 and 126 MB at d = 80.
+        chunk = 3 * _BLOCK * d * 8
+        estimate(SphereSampler(d), 1000, seed=3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            estimate(SphereSampler(d), workers << 16, seed=3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * chunk
 
 
 class TestCoverage:

@@ -289,6 +289,24 @@ class TestIncrementalMatchesFullRecompute:
         params = SearchParams(n=n, d=d, mode=mode, seed=seed, iterations=250, restarts=3)
         assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["strict-obtuse", "non-acute"])
+    def test_degenerate_triples_count_by_mode(self, mode, d):
+        # A triangle's area is at most sqrt(3)/4 < 0.5 of its longest squared
+        # edge, so at tol 0.5 every triple of every configuration is
+        # degenerate: the strict count must leave them out, the non-acute
+        # count must hold them all.
+        params = SearchParams(n=6, d=d, mode=mode, seed=13, iterations=200, restarts=2, tol=0.5)
+        result = search_min(params)
+        counts = result.counts
+        assert counts[TriangleClass.DEGENERATE] == 20
+        if mode == "strict-obtuse":
+            assert result.best_count == counts[TriangleClass.OBTUSE] == 0
+        else:
+            assert result.best_count == (counts[TriangleClass.RIGHT] + counts[TriangleClass.OBTUSE]
+                                         + counts[TriangleClass.DEGENERATE])
+        assert result.to_dict() == search_min_full_recompute(params).to_dict()
+
     def test_identical_with_loose_tolerance(self):
         # A wide Right band makes rejected moves and margin ties common.
         params = SearchParams(n=7, d=2, seed=12, iterations=300, restarts=2, tol=1e-2)

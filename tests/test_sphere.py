@@ -243,6 +243,51 @@ class TestSampleSphere:
         assert np.array_equal(pts[rows[1]], [0.0, 0.6, 0.8])
         assert np.array_equal(np.delete(pts, rows, axis=0), np.full((n - 2, 3), 1.0 / math.sqrt(3.0)))
 
+    def test_chunks_validate(self, rng):
+        with pytest.raises(ValueError, match="dimension"):
+            next(sphere.sphere_chunks(1, rng, 10, 5))
+        with pytest.raises(ValueError, match="chunk rows"):
+            next(sphere.sphere_chunks(3, rng, 10, 0))
+
+    def test_chunks_with_zero_rows_give_the_whole_draw(self):
+        # Zero rows in chunks 0 and 2, and the earlier one's first redraw is
+        # zero again: those chunks are held back, redrawn in row order as in
+        # one whole draw, and yielded after the others.
+        d, rows, n = 3, 6, 27
+        first = np.arange(1.0, n * d + 1.0).reshape(n, d)
+        first[[4, 14]] = 0.0
+        redraws = np.array([0.0, 0.0, 0.0, 2.0, 3.0, 6.0, 0.0, 3.0, 4.0])
+        stream = np.concatenate([first.ravel(), redraws])
+
+        class Scripted:
+            """Serves ``stream`` in order, like a generator's draws."""
+            def __init__(self):
+                self.used = 0
+                self.calls = []
+
+            def standard_normal(self, shape=None, out=None):
+                shape = out.shape if out is not None else shape
+                self.calls.append((shape, out is not None))
+                size = math.prod(shape)
+                values = stream[self.used:self.used + size].reshape(shape)
+                self.used += size
+                if out is None:
+                    return values.copy()
+                out[...] = values
+                return out
+
+        whole_rng, chunk_rng = Scripted(), Scripted()
+        whole = sample_sphere(d, whole_rng, n)
+        chunks = [c.copy() for c in sphere.sphere_chunks(d, chunk_rng, n, rows)]
+        assert chunk_rng.used == whole_rng.used == stream.size
+        assert whole_rng.calls == [((n, d), False), ((2, d), False), ((1, d), False)]
+        assert chunk_rng.calls == [((6, d), True)] * 4 + [((3, d), True), ((2, d), False), ((1, d), False)]
+        order = [1, 3, 4, 0, 2]  # chunk 4 is the partial last one
+        assert np.array_equal(np.concatenate(chunks), np.concatenate(
+            [whole[rows * k:rows * (k + 1)] for k in order]))
+        assert np.array_equal(whole[4], [0.0, 0.6, 0.8])
+        assert np.array_equal(whole[14], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0])
+
     def test_mean_near_zero(self, rng):
         n = 100_000
         pts = sample_sphere(3, rng, n)
