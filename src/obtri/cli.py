@@ -207,12 +207,20 @@ def cmd_replay(args) -> int:
     every recorded value is parsed and validated again."""
     manifest = _load_manifest(args.manifest)
     sub, params = manifest.get("subcommand"), manifest.get("params", {})
-    parser = args.parsers.get(sub)
+    parser = args.parsers.get(sub) if isinstance(sub, str) else None
     if parser is None:
         raise ValueError(f"cannot replay subcommand {sub!r}")
-    unknown = sorted(set(params) - {a.dest for a in parser._actions if a.dest not in _NOT_PARAMS})
+    if not isinstance(params, dict):
+        raise ValueError(f"manifest params must be an object, got {params!r}")
+    actions = {a.dest: a for a in parser._actions if a.dest not in _NOT_PARAMS}
+    unknown = sorted(set(params) - set(actions))
     if unknown:
         raise ValueError(f"manifest parameter {unknown[0]!r} is not an option of {sub!r}")
+    for dest, value in params.items():
+        if actions[dest].nargs == 0 and not isinstance(value, bool):
+            raise ValueError(f"manifest parameter {dest!r} is a flag, got {value!r}")
+        if actions[dest].type is _dims_range and not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(f"manifest parameter {dest!r} must be a pair, got {value!r}")
     values = dict(params, seed=manifest.get("seed"))
     # A dict-valued parameter (the mc spec) is replayed from a file: written
     # where --spec asks, or else into a temporary directory, never the working

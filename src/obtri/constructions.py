@@ -301,8 +301,8 @@ def arc_triple_pattern_report(params: ArcTripleParams, samples_per_pattern: int,
         raise ValueError(f"samples_per_pattern must be >= 1, got {samples_per_pattern}")
     sampler = ArcTripleSampler(params)
 
-    def draw(rng, shard, n):  # shard i is pattern i, stratum i
-        return sampler.sample_pattern(rng, PATTERNS[shard][0], n).reshape(3 * n, 2), shard
+    def draw(rng, shard, n, count):  # shard i is pattern i, stratum i
+        count([(sampler.sample_pattern(rng, PATTERNS[shard][0], n).reshape(3 * n, 2), shard)])
 
     table = _count_strata(draw, 2, len(PATTERNS), len(PATTERNS) * samples_per_pattern, seed,
                           tol, samples_per_pattern)
@@ -452,9 +452,6 @@ class SelfSimilarSampler:
         logger.debug("self-similar sampler: tail mass beyond depth %d is %.3e",
                      params.max_depth, params.tail_mass)
 
-    def sample_levels(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._draw_levels(rng, n, max(n, 1))
-
     def _draw_levels(self, rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
         """The levels of n points, their uniforms drawn chunk by chunk of at
         most ``rows`` (which gives the values of one whole draw)."""
@@ -593,10 +590,10 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
             yield pts, n_at_shallow - 1
 
     def draw(rng, shard, n, count):
-        return sampler.sample_with_levels(rng, 3 * n, consume=lambda chunks: count(stratified(chunks)))
+        sampler.sample_with_levels(rng, 3 * n, consume=lambda chunks: count(stratified(chunks)))
 
     # Rows: shallow count 1, 2, 3.
-    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size, draw_counts=True)
+    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size)
     totals = cat_class.sum(axis=0)
     counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]

@@ -84,6 +84,8 @@ class Configuration:
     @classmethod
     def from_json(cls, text: str) -> "Configuration":
         obj = json.loads(text)
+        if not isinstance(obj, dict) or not {"dim", "points"} <= obj.keys():
+            raise ValueError("configuration JSON needs 'dim' and 'points' fields")
         pts = np.asarray(obj["points"], dtype=float)
         if pts.ndim != 2 or pts.shape[1] != obj["dim"]:
             raise ValueError("configuration JSON: points do not match declared dim")
@@ -303,6 +305,9 @@ def count_nonacute(config: Configuration, tol: float = DEFAULT_TOL) -> int:
 # given with rational coordinates (no tolerance involved).
 
 def _exact_dots(a, b, c):
+    a, b, c = tuple(a), tuple(b), tuple(c)
+    if not (len(a) == len(b) == len(c)):
+        raise ValueError(f"dimension mismatch: {len(a)}, {len(b)}, {len(c)}")
     ab = [Fraction(y) - Fraction(x) for x, y in zip(a, b)]
     ac = [Fraction(y) - Fraction(x) for x, y in zip(a, c)]
     bc = [Fraction(y) - Fraction(x) for x, y in zip(b, c)]

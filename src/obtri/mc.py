@@ -7,25 +7,20 @@ counts are bit-identical for a fixed (draw, samples, seed, shard_size) no
 matter how many workers process the shards.  Reduction is exact integer
 addition and therefore order-independent.
 
-The draw contract: a caller supplies ``draw(rng, shard, n)`` returning the
-shard's ``n`` triples as an iterable of chunks ``(points, stratum)``: the
-``3m`` points of ``m`` triples, shape ``(3m, dim)``, and each triple's
-stratum in ``[0, S)`` (an array of length ``m``, or one int for the whole
-chunk).  The chunks together hold the ``n`` triples, in any order, since
-reduction is integer addition; a ``(points, stratum)`` tuple is the
-one-chunk case.  The engine classifies each chunk as it arrives and returns
-an ``S x 4`` int64 matrix: row ``s`` holds the class counts, in
+The draw contract: a caller supplies ``draw(rng, shard, n, count)``, which
+draws the shard's ``n`` triples from ``rng`` and hands them to ``count`` as
+an iterable of chunks ``(points, stratum)``: the ``3m`` points of ``m``
+triples, shape ``(3m, dim)``, and each triple's stratum in ``[0, S)`` (an
+array of length ``m``, or one int for the whole chunk), in any order; a
+whole draw is one chunk, ``count([(points, stratum)])``.  ``count``
+classifies each chunk as it arrives, inside the draw's call.  The engine
+returns an ``S x 4`` int64 matrix: row ``s`` holds the class counts, in
 ``CLASS_ORDER``, of the triples in stratum ``s``.  ``estimate`` uses one
 stratum; the self-similar report stratifies by the number of points at a
 triple's shallowest level, and the arc-pattern report gives each of its
-patterns a shard and a stratum.  With ``draw_counts=True`` the engine
-calls ``draw(rng, shard, n, count)`` instead, which returns
-``count(chunks)``: the draw runs the engine's tally itself, so that a
-shard's draws and their classification happen inside one sampler call
-(``sample(rng, 3n, consume=...)``, whose ``consume`` passes the sampler's
-chunks on to ``count``).  A failure of the draw or of its
-chunks' iteration is re-raised as ``SamplerError`` with the shard's
-position; a failure while a chunk is classified passes through.
+patterns a shard and a stratum.  A failure of the draw or of its chunks'
+iteration is re-raised as ``SamplerError`` with the shard's position; a
+failure while a chunk is classified passes through.
 
 Chunks and blocks: ``estimate`` and the self-similar report draw a shard in
 chunks of ``_BLOCK`` triples from the samplers' ``sample_chunks`` streams,
@@ -45,9 +40,9 @@ method can be estimated; the distribution constructions in
 :mod:`obtri.constructions` all qualify.  One that also has
 ``sample_chunks(rng, n, rows)``, yielding the points of ``sample(rng, n)``
 in chunks of at most ``rows`` rows, is streamed; its ``sample(rng, n,
-consume=f)`` must return ``f(sample_chunks(rng, n, 3 * _BLOCK))``.  A
-shard is then one ``sample`` call that draws and counts it, which is the
-call ``perfbench``'s tracer times as a shard's sampling.
+consume=f)`` must return ``f(sample_chunks(rng, n, 3 * _BLOCK))``.  Either
+way a shard is one ``sample`` call, which is the call ``perfbench``'s
+tracer times as a shard's sampling.
 """
 
 from __future__ import annotations
@@ -163,7 +158,7 @@ class Estimate:
 
 
 def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: float,
-                  shard_size: int, workers: int = 1, *, draw_counts: bool = False) -> np.ndarray:
+                  shard_size: int, workers: int = 1) -> np.ndarray:
     """The ``strata x 4`` class counts of ``samples`` triples from ``draw``
     (see the module docstring for the contract)."""
     if samples < 1:
@@ -181,16 +176,16 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
         n = min(shard_size, samples - offset)
         rng = policy.rng_for_shard(shard)
         table = np.zeros(4 * strata, dtype=np.int64)
+        left = n  # triples not yet counted
         counting = False  # while a chunk is classified and tallied
 
         def failure(message: str) -> SamplerError:
             return SamplerError(f"sampler failed in shard {shard} (triples {offset}..): {message}",
                                 shard=shard, sample_offset=offset)
 
-        def count(chunks) -> np.ndarray:
-            nonlocal counting, table
-            left = n
-            for pts, stratum in ([chunks] if isinstance(chunks, tuple) else chunks):
+        def count(chunks) -> None:
+            nonlocal counting, left, table
+            for pts, stratum in chunks:
                 pts = np.asarray(pts, dtype=float)
                 m = len(pts) // 3 if pts.ndim == 2 else 0
                 if pts.shape != (3 * m, dim) or m > left:
@@ -200,16 +195,16 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
                 table += np.bincount(4 * np.asarray(stratum, dtype=np.intp) + codes, minlength=4 * strata)
                 counting = False
                 left -= m
-            if left:
-                raise failure(f"chunks hold {n - left} triples, expected {n}")
-            return table
 
         try:
-            return draw(rng, shard, n, count) if draw_counts else count(draw(rng, shard, n))
+            draw(rng, shard, n, count)
+            if left:
+                raise failure(f"chunks hold {n - left} triples, expected {n}")
         except Exception as exc:  # re-raise the draw's own errors with position information
             if counting or isinstance(exc, SamplerError):
                 raise
             raise failure(str(exc)) from exc
+        return table
 
     if workers == 1:
         parts = [count_shard(i) for i in range(n_shards)]
@@ -229,13 +224,13 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
     """
     streamed = hasattr(sampler, "sample_chunks")
 
-    def draw(rng, shard, n, count=None):
-        if not streamed:
-            return sampler.sample(rng, 3 * n), 0
-        return sampler.sample(rng, 3 * n, consume=lambda chunks: count((pts, 0) for pts in chunks))
+    def draw(rng, shard, n, count):
+        if streamed:
+            sampler.sample(rng, 3 * n, consume=lambda chunks: count((pts, 0) for pts in chunks))
+        else:
+            count([(sampler.sample(rng, 3 * n), 0)])
 
-    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers,
-                          draw_counts=streamed)
+    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers)
     counts = class_counts(table[0])
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)

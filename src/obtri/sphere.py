@@ -140,40 +140,31 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
 
 
 def sphere_chunks(d: int, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
-    """The n points of ``sample_sphere(d, rng, n)`` in chunks of at most
-    ``rows`` rows, drawn from ``rng`` in the same order.
+    """n uniform points on S^{d-1}, in order, in chunks of at most ``rows``
+    rows; ``sample_sphere(d, rng, n)`` is its one chunk (rows >= n).
 
-    The rows are drawn chunk by chunk, each chunk's block of rows divided in
-    place by its own norms.  With one chunk (rows >= n) it is a fresh array;
-    otherwise every chunk is drawn into one buffer that the next overwrites,
-    so a chunk is valid until the next is requested.  Rows of zero norm are
-    redrawn as one whole draw would redraw them: after all n rows, in row
-    order, until none is zero.  A chunk that holds one is held back and
-    yielded after the redraws, so such chunks come last.
+    Each chunk's rows are drawn, then divided in place by their norms.  With
+    one chunk it is a fresh array; otherwise every chunk is drawn into one
+    buffer that the next overwrites, so a chunk is valid until the next is
+    requested.  A chunk redraws its rows of zero norm, in row order until
+    none is zero, before the next chunk is drawn.  Only that makes a stream
+    differ from one whole draw, which redraws after all n rows; a standard
+    normal is exactly 0.0 with probability about 2^-52.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     bounds = _chunk_bounds(n, rows)
     buf = np.empty((rows, d)) if rows < n else None
-    held, bad = [], []  # the held-back chunks, and their zero rows' indices in them
     for lo, hi in bounds:
         m = hi - lo
         pts = rng.standard_normal((m, d)) if buf is None else rng.standard_normal(out=buf[:m])
-        zero = np.flatnonzero(_blockwise(_normalize, np.empty(m, dtype=bool), pts))
-        if zero.size:
-            bad.append(sum(map(len, held)) + zero)
-            held.append(pts.copy())
-        else:
-            yield pts
-    if held:
-        pts = np.concatenate(held)
-        bad = np.concatenate(bad)
+        bad = np.flatnonzero(_blockwise(_normalize, np.empty(m, dtype=bool), pts))
         while bad.size:
             redraw = rng.standard_normal((bad.size, d))
             zero = _normalize(redraw)
             pts[bad] = redraw
             bad = bad[zero]
-        yield from np.split(pts, np.cumsum([len(h) for h in held[:-1]]))
+        yield pts
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:

@@ -445,3 +445,31 @@ class TestReplay:
         assert code == EXIT_USAGE
         assert "'optimize'" in err
         assert out == ""
+
+    def refused(self, manifest, tmp_path, capsys):
+        """Replay ``manifest``; it must end in a usage error and no output."""
+        code, out, err = run(["replay", "--manifest", self.save(tmp_path, manifest)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        return err
+
+    def test_params_that_are_not_an_object(self, tmp_path, capsys):
+        err = self.refused({"subcommand": "bound", "params": None, "seed": None}, tmp_path, capsys)
+        assert "params must be an object" in err
+
+    def test_subcommand_that_is_not_a_string(self, tmp_path, capsys):
+        err = self.refused({"subcommand": ["bound"], "params": {"dim": 2}, "seed": None}, tmp_path, capsys)
+        assert "cannot replay subcommand ['bound']" in err
+
+    @pytest.mark.parametrize("dims", [5, [4], [4, 5, 6], "4..5"])
+    def test_dims_that_are_not_a_pair(self, dims, tmp_path, capsys):
+        params = {"dims": dims, "n_max": 100}
+        err = self.refused({"subcommand": "table", "params": params, "seed": None}, tmp_path, capsys)
+        assert "'dims' must be a pair" in err
+
+    @pytest.mark.parametrize("scan", ["no", 0, 1, "true"])
+    def test_flag_that_is_not_a_bool(self, scan, tmp_path, capsys):
+        params = {"scan": scan, "scan_points": 9}
+        err = self.refused({"subcommand": "fixedpoint", "params": params, "seed": None}, tmp_path, capsys)
+        assert "'scan' is a flag" in err

@@ -309,7 +309,7 @@ class TestSelfSimilarSampler:
         params = SelfSimilarParams(p=0.6, max_depth=8)
         sampler = SelfSimilarSampler(params)
         n = 120_000
-        levels = sampler.sample_levels(rng, n)
+        levels = sampler.sample_with_levels(rng, n)[1]
         probs = params.level_probabilities()
         for j, q in enumerate(probs):
             observed = int(np.sum(levels == j))
@@ -336,7 +336,7 @@ class TestSelfSimilarSampler:
 
     def test_p_one_single_level(self, rng):
         sampler = SelfSimilarSampler(SelfSimilarParams(p=1.0))
-        levels = sampler.sample_levels(rng, 1000)
+        levels = sampler.sample_with_levels(rng, 1000)[1]
         assert np.all(levels == 0)
 
     @pytest.mark.parametrize("p", [1e-17, 1e-300, 5e-324])
@@ -344,7 +344,7 @@ class TestSelfSimilarSampler:
         # Untruncated levels are about 1/p, beyond int64 (and for a
         # subnormal p beyond the largest double).
         sampler = SelfSimilarSampler(SelfSimilarParams(p=p))
-        assert np.all(sampler.sample_levels(rng, 1000) == sampler.params.max_depth)
+        assert np.all(sampler.sample_with_levels(rng, 1000)[1] == sampler.params.max_depth)
 
     def test_validation(self):
         with pytest.raises(ValueError):

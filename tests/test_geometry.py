@@ -119,6 +119,17 @@ class TestExactClassification:
         # antipodal pair: right angle at the third vertex
         assert classify_exact(OCTAHEDRON_EXACT[0], OCTAHEDRON_EXACT[1], OCTAHEDRON_EXACT[2]) is R
 
+    @pytest.mark.parametrize("pts", [[(0, 0), (1,), (0, 1)], [(0, 0), (1, 0), (0, 1, 0)],
+                                     [(0, 0, 0), (1, 0), (0, 1)]])
+    def test_unequal_dimensions_refused(self, pts):
+        # Zipping coordinates would classify the truncated points instead.
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            classify_exact(*pts)
+
+    def test_generator_coordinates(self):
+        # Each point is read once, so one-shot iterables classify as tuples do.
+        assert classify_exact(iter((0, 0)), iter((1, 0)), iter((0, 1))) is R
+
 
 class TestCountClasses:
     def test_unit_square(self):
@@ -221,6 +232,11 @@ class TestConfiguration:
     def test_json_dim_mismatch(self):
         with pytest.raises(ValueError):
             Configuration.from_json('{"dim": 3, "points": [[0,0],[1,0],[0,1]]}')
+
+    @pytest.mark.parametrize("text", ['{"points": [[0,0],[1,0],[0,1]]}', '{"dim": 2}', '[]', '3'])
+    def test_json_without_dim_or_points(self, text):
+        with pytest.raises(ValueError, match="needs 'dim' and 'points'"):
+            Configuration.from_json(text)
 
 
 class TestThinTriangleRobustness:

@@ -7,7 +7,8 @@ import pytest
 
 from obtri import mc
 from obtri.constructions import (ArcTripleParams, ArcTripleSampler, DistributionSpec, SelfSimilarParams,
-                                 SelfSimilarSampler, SingleArcSampler, SphereSampler, build_sampler)
+                                 SelfSimilarSampler, SingleArcSampler, SphereSampler, build_sampler,
+                                 mc_self_similar)
 from obtri.geometry import TriangleClass, classify_batch
 from obtri.mc import (_BLOCK, _Z95, Estimate, SamplerError, SeedPolicy, _chunk_bounds, _count_strata,
                       estimate, wilson_interval)
@@ -117,23 +118,31 @@ class TestDeterminism:
         assert np.array_equal(v1, v2)
 
 
-def grid_draw(strata, per_triple):
-    """A draw on a 3 x 3 integer grid, so all four classes occur; the stratum
-    is one int per shard or one per triple."""
-    def draw(rng, shard, n):
+def grid_chunk(strata, per_triple):
+    """A shard's triples on a 3 x 3 integer grid, so all four classes occur,
+    as one (points, stratum) chunk; the stratum is one int per shard or one
+    per triple."""
+    def chunk(rng, shard, n):
         pts = rng.integers(0, 3, size=(3 * n, 2)).astype(float)
         stratum = rng.integers(0, strata, size=n) if per_triple else shard % strata
         return pts, stratum
+    return chunk
+
+
+def whole(chunk):
+    """The draw that hands ``chunk``'s one chunk to the engine's tally."""
+    def draw(rng, shard, n, count):
+        count([chunk(rng, shard, n)])
     return draw
 
 
-def unblocked_counts(draw, dim, strata, samples, seed, tol, shard_size):
+def unblocked_counts(chunk, dim, strata, samples, seed, tol, shard_size):
     """The engine's table with each shard classified in one call."""
     policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     table = np.zeros(4 * strata, dtype=np.int64)
     for shard in range(-(-samples // shard_size)):
         n = min(shard_size, samples - shard * shard_size)
-        pts, stratum = draw(policy.rng_for_shard(shard), shard, n)
+        pts, stratum = chunk(policy.rng_for_shard(shard), shard, n)
         tri = pts.reshape(n, 3, dim)
         codes = classify_batch(tri[:, 0], tri[:, 1], tri[:, 2], tol)
         table += np.bincount(4 * np.asarray(stratum) + codes, minlength=4 * strata)
@@ -151,21 +160,21 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("per_triple", [False, True], ids=["int-stratum", "array-stratum"])
     @pytest.mark.parametrize("shard_size,samples", SIZES)
     def test_matches_unblocked_oracle(self, shard_size, samples, per_triple):
-        draw = grid_draw(3, per_triple)
-        got = _count_strata(draw, 2, 3, samples, 5, 1e-12, shard_size)
-        expected = unblocked_counts(draw, 2, 3, samples, 5, 1e-12, shard_size)
+        chunk = grid_chunk(3, per_triple)
+        got = _count_strata(whole(chunk), 2, 3, samples, 5, 1e-12, shard_size)
+        expected = unblocked_counts(chunk, 2, 3, samples, 5, 1e-12, shard_size)
         assert np.array_equal(got, expected)
         assert got.sum() == samples
 
     def test_sphere_shards_match_unblocked_oracle(self):
         sampler = SphereSampler(10)
 
-        def draw(rng, shard, n):
+        def chunk(rng, shard, n):
             return sampler.sample(rng, 3 * n), 0
 
         samples = 3 * _BLOCK + 11
-        got = _count_strata(draw, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1)
-        assert np.array_equal(got, unblocked_counts(draw, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1))
+        got = _count_strata(whole(chunk), 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1)
+        assert np.array_equal(got, unblocked_counts(chunk, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1))
 
     def test_shard_memory_is_points_plus_blocks(self):
         # One 65,536-triple shard at d = 40: its points take 63 MB; everything
@@ -302,55 +311,76 @@ class TestChunkedDraws:
         assert np.array_equal(np.concatenate([lev for _, lev in chunks]), levels)
 
 
-def chunked(draw, order):
-    """``draw`` re-cut into chunks of 1,000 triples, yielded in ``order``
-    (a function of the chunk list)."""
-    def chunked_draw(rng, shard, n):
-        pts, stratum = draw(rng, shard, n)
+def chunked(chunk, order):
+    """The draw that re-cuts ``chunk``'s one chunk into chunks of 1,000
+    triples and hands them to the engine's tally in ``order`` (a function of
+    the chunk list)."""
+    def draw(rng, shard, n, count):
+        pts, stratum = chunk(rng, shard, n)
         stratum = np.broadcast_to(stratum, n)
         bounds = _chunk_bounds(n, 1000)
-        return [(pts[3 * lo:3 * hi], stratum[lo:hi]) for lo, hi in order(bounds)]
-    return chunked_draw
+        count([(pts[3 * lo:3 * hi], stratum[lo:hi]) for lo, hi in order(bounds)])
+    return draw
 
 
 class TestStreamedShards:
-    """A draw may return a shard as a stream of chunks."""
+    """A draw hands its shard to the engine's tally as a stream of chunks."""
 
     @pytest.mark.parametrize("order", [lambda b: b, lambda b: b[::-1], lambda b: b[1::2] + b[::2]],
                              ids=["in-order", "reversed", "interleaved"])
     def test_chunk_order_does_not_matter(self, order):
-        draw = grid_draw(3, per_triple=True)
-        one = _count_strata(draw, 2, 3, 9_001, 5, 1e-12, 4_500)
-        many = _count_strata(chunked(draw, order), 2, 3, 9_001, 5, 1e-12, 4_500)
+        chunk = grid_chunk(3, per_triple=True)
+        one = _count_strata(whole(chunk), 2, 3, 9_001, 5, 1e-12, 4_500)
+        many = _count_strata(chunked(chunk, order), 2, 3, 9_001, 5, 1e-12, 4_500)
         assert np.array_equal(many, one)
         assert many.sum() == 9_001
 
+    def test_a_shard_may_be_counted_in_several_calls(self):
+        chunk = grid_chunk(3, per_triple=True)
+
+        def halves(rng, shard, n, count):
+            pts, stratum = chunk(rng, shard, n)
+            half = n // 2
+            count([(pts[:3 * half], stratum[:half])])
+            count([(pts[3 * half:], stratum[half:])])
+
+        one = _count_strata(whole(chunk), 2, 3, 9_001, 5, 1e-12, 4_500)
+        assert np.array_equal(_count_strata(halves, 2, 3, 9_001, 5, 1e-12, 4_500), one)
+
+    def test_a_draw_that_counts_nothing_fails(self):
+        with pytest.raises(SamplerError, match="chunks hold 0 triples, expected 50"):
+            _count_strata(lambda rng, shard, n, count: None, 2, 1, 50, 1, 1e-12, 50)
+
     def test_error_on_a_later_chunk_carries_shard_position(self):
-        def draw(rng, shard, n):
+        def chunks(rng, shard, n):
             for k, (lo, hi) in enumerate(_chunk_bounds(n, 10)):
                 if shard == 1 and k == 2:
                     raise RuntimeError("boom")
                 yield rng.random((3 * (hi - lo), 2)), 0
+
+        def draw(rng, shard, n, count):
+            count(chunks(rng, shard, n))
 
         with pytest.raises(SamplerError) as err:
             _count_strata(draw, 2, 1, 250, 1, 1e-12, 100)
         assert (err.value.shard, err.value.sample_offset) == (1, 100)
         assert isinstance(err.value.__cause__, RuntimeError)
 
-    @pytest.mark.parametrize("shapes", [
-        [(30, 2), (31, 2)],        # rows not a multiple of 3
-        [(30, 2), (30, 3)],        # wrong dimension
-        [(30, 2), (30,)],          # not 2-d
-        [(150, 2), (30, 2)],       # more triples than the shard
-        [(30, 2), (30, 2)],        # fewer triples than the shard
+    @pytest.mark.parametrize("shapes, message", [
+        ([(30, 2), (31, 2)], r"chunk of shape \(31, 2\), expected \(3m, 2\) with m <= 40"),
+        ([(30, 2), (30, 3)], r"chunk of shape \(30, 3\), expected \(3m, 2\) with m <= 40"),
+        ([(30, 2), (30,)], r"chunk of shape \(30,\), expected \(3m, 2\) with m <= 40"),
+        ([(150, 2), (30, 2)], r"chunk of shape \(30, 2\), expected \(3m, 2\) with m <= 0"),
+        ([(30, 2), (30, 2)], r"chunks hold 20 triples, expected 50"),
     ], ids=["rows", "dim", "ndim", "too-many", "too-few"])
-    def test_chunk_shape_is_checked(self, shapes):
-        def draw(rng, shard, n):
-            return ((np.zeros(shape), 0) for shape in shapes)
+    def test_chunk_shape_is_checked(self, shapes, message):
+        def draw(rng, shard, n, count):
+            count((np.zeros(shape), 0) for shape in shapes)
 
-        with pytest.raises(SamplerError) as err:
+        with pytest.raises(SamplerError, match=message) as err:
             _count_strata(draw, 2, 1, 50, 1, 1e-12, 50)
         assert (err.value.shard, err.value.sample_offset) == (0, 0)
+        assert err.value.__cause__ is None
 
     def test_classification_errors_are_not_sampler_errors(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -358,28 +388,41 @@ class TestStreamedShards:
 
         monkeypatch.setattr(mc, "classify_batch", broken)
         with pytest.raises(ZeroDivisionError):
-            _count_strata(grid_draw(1, per_triple=False), 2, 1, 10, 1, 1e-12, 10)
+            _count_strata(whole(grid_chunk(1, per_triple=False)), 2, 1, 10, 1, 1e-12, 10)
 
     def test_a_streamed_shard_is_one_sample_call(self, monkeypatch):
-        # Each shard is drawn and classified inside one ``sample`` call.
-        original, calls, inside = SphereSampler.sample, [], [False]
+        # Each shard is drawn and classified inside one call of a method that
+        # the class itself defines, the method perfbench's tracer wraps.
+        arc = ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)
+        samples, shard_size = 2 * _BLOCK + 100, _BLOCK + 50
+        for cls, method, run in [
+            (SphereSampler, "sample", lambda: estimate(SphereSampler(3), samples, 7, shard_size=shard_size)),
+            (ArcTripleSampler, "sample", lambda: estimate(ArcTripleSampler(arc), samples, 7,
+                                                          shard_size=shard_size)),
+            (SelfSimilarSampler, "sample", lambda: estimate(SelfSimilarSampler(SelfSimilarParams(p=0.6)),
+                                                            samples, 7, shard_size=shard_size)),
+            (SelfSimilarSampler, "sample_with_levels", lambda: mc_self_similar(
+                SelfSimilarParams(p=0.6), samples, 7, shard_size=shard_size)),
+        ]:
+            original, calls, inside = vars(cls)[method], [], [False]
 
-        def sample(self, rng, n, consume=None):
-            calls.append((n, consume is not None))
-            inside[0] = True
-            try:
-                return original(self, rng, n, consume)
-            finally:
-                inside[0] = False
+            def sample(self, rng, n, consume=None):
+                calls.append((n, consume is not None))
+                inside[0] = True
+                try:
+                    return original(self, rng, n, consume)
+                finally:
+                    inside[0] = False
 
-        def classify(tri, tol):
-            assert inside[0]
-            return classify_batch(tri, tol=tol)
+            def classify(tri, tol):
+                assert inside[0]
+                return classify_batch(tri, tol=tol)
 
-        monkeypatch.setattr(SphereSampler, "sample", sample)
-        monkeypatch.setattr(mc, "classify_batch", classify)
-        estimate(SphereSampler(3), 2 * _BLOCK + 100, 7, shard_size=_BLOCK + 50)
-        assert calls == [(3 * (_BLOCK + 50), True)] * 2
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, method, sample)
+                patch.setattr(mc, "classify_batch", classify)
+                run()
+            assert calls == [(3 * shard_size, True)] * 2, (cls.__name__, method)
 
     def test_streamed_errors(self, monkeypatch):
         class Streamed:

@@ -186,6 +186,11 @@ class TestCertifyResultJson:
         assert sum(cert.counts.values()) == 20
         assert cert.nonacute() >= result["bound"]
 
+    def test_points_of_unequal_dimension(self):
+        from obtri.search import certify_result_json
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            certify_result_json('{"result": {"points": [[0,0],[1],[0,1]]}}')
+
     @pytest.mark.parametrize("text", ['{"manifest": {}, "result": {}}', '{"n": 4}', '[]'])
     def test_document_without_points(self, text):
         from obtri.search import certify_result_json

@@ -249,15 +249,16 @@ class TestSampleSphere:
         with pytest.raises(ValueError, match="chunk rows"):
             next(sphere.sphere_chunks(3, rng, 10, 0))
 
-    def test_chunks_with_zero_rows_give_the_whole_draw(self):
+    def test_zero_rows_are_redrawn_inside_their_chunk(self):
         # Zero rows in chunks 0 and 2, and the earlier one's first redraw is
-        # zero again: those chunks are held back, redrawn in row order as in
-        # one whole draw, and yielded after the others.
+        # zero again: each chunk redraws its own zero rows, in row order
+        # until none is zero, before the next chunk is drawn, and the chunks
+        # come in row order.
         d, rows, n = 3, 6, 27
         first = np.arange(1.0, n * d + 1.0).reshape(n, d)
         first[[4, 14]] = 0.0
-        redraws = np.array([0.0, 0.0, 0.0, 2.0, 3.0, 6.0, 0.0, 3.0, 4.0])
-        stream = np.concatenate([first.ravel(), redraws])
+        stream = np.concatenate([first[:6].ravel(), [0.0, 0.0, 0.0, 2.0, 3.0, 6.0],
+                                 first[6:18].ravel(), [0.0, 3.0, 4.0], first[18:].ravel()])
 
         class Scripted:
             """Serves ``stream`` in order, like a generator's draws."""
@@ -276,17 +277,16 @@ class TestSampleSphere:
                 out[...] = values
                 return out
 
-        whole_rng, chunk_rng = Scripted(), Scripted()
-        whole = sample_sphere(d, whole_rng, n)
-        chunks = [c.copy() for c in sphere.sphere_chunks(d, chunk_rng, n, rows)]
-        assert chunk_rng.used == whole_rng.used == stream.size
-        assert whole_rng.calls == [((n, d), False), ((2, d), False), ((1, d), False)]
-        assert chunk_rng.calls == [((6, d), True)] * 4 + [((3, d), True), ((2, d), False), ((1, d), False)]
-        order = [1, 3, 4, 0, 2]  # chunk 4 is the partial last one
-        assert np.array_equal(np.concatenate(chunks), np.concatenate(
-            [whole[rows * k:rows * (k + 1)] for k in order]))
-        assert np.array_equal(whole[4], [0.0, 0.6, 0.8])
-        assert np.array_equal(whole[14], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0])
+        rng = Scripted()
+        chunks = [c.copy() for c in sphere.sphere_chunks(d, rng, n, rows)]
+        assert rng.used == stream.size
+        assert rng.calls == [((6, d), True), ((1, d), False), ((1, d), False), ((6, d), True),
+                             ((6, d), True), ((1, d), False), ((6, d), True), ((3, d), True)]
+        drawn = first.copy()
+        drawn[4], drawn[14] = [2.0, 3.0, 6.0], [0.0, 3.0, 4.0]
+        assert np.array_equal(np.concatenate(chunks), drawn / np.linalg.norm(drawn, axis=1)[:, None])
+        assert np.array_equal(chunks[0][4], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0])
+        assert np.array_equal(chunks[2][2], [0.0, 0.6, 0.8])
 
     def test_mean_near_zero(self, rng):
         n = 100_000
