@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,23 +235,6 @@ def classify_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | N
     return measure_batch(a, b, c, tol)[0]
 
 
-def triple_blocks(n: int) -> Iterator[np.ndarray]:
-    """All index triples i < j < k of range(n), one (m, 3) block per first index i.
-
-    Blocks come in ``itertools.combinations`` order, so concatenating them
-    gives the same array as ``combinations(range(n), 3)``; the largest holds
-    C(n-1, 2) rows, so a caller that consumes one block at a time needs
-    O(n^2) memory rather than O(n^3).
-    """
-    for i in range(n - 2):
-        j, k = np.triu_indices(n - i - 1, 1)
-        block = np.empty((j.size, 3), dtype=np.intp)
-        block[:, 0] = i
-        block[:, 1] = j + (i + 1)
-        block[:, 2] = k + (i + 1)
-        yield block
-
-
 CLASS_ORDER = (TriangleClass.ACUTE, TriangleClass.RIGHT, TriangleClass.OBTUSE, TriangleClass.DEGENERATE)
 
 
@@ -276,10 +259,10 @@ def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[Trian
     """Class counts over all C(n, 3) triples of a configuration.
 
     Counts are exact Python ints and always sum to C(n, 3).  Triples are
-    classified one ``triple_blocks`` block at a time, from endpoints gathered
-    once: the pairs j < k in ``triu_indices`` order run by j, so block i's
-    pairs (those with j > i) are a contiguous suffix of them, classified
-    against point i broadcast to the block's shape.
+    classified one first index i at a time, from endpoints gathered once:
+    the pairs j < k in ``triu_indices`` order run by j, so the pairs with
+    j > i are a contiguous suffix of them, classified against point i
+    broadcast to their shape.
     """
     pts = config.points
     n = config.n

@@ -33,7 +33,6 @@ from obtri.geometry import (
     classify_exact,
     count_classes,
     measure_batch,
-    triple_blocks,
 )
 from obtri.mc import SeedPolicy
 from obtri.sphere import sample_sphere
@@ -153,7 +152,7 @@ def search_min(params: SearchParams) -> SearchResult:
         InvariantViolation: if the best non-acute count in d = 2 or 3 falls
             below the closed-form bound.
     """
-    idx = np.concatenate(list(triple_blocks(params.n)))
+    idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
     # For each point, the triples that contain it: all a move has to re-measure,
     # as flat corner indices (a, b, c of each triple in turn) for one gather.
     touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]

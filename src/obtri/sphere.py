@@ -124,7 +124,7 @@ def asymptotic_sphere(d: int) -> float:
     """Plug-in value at theta = pi/2: (3/2) * I_{1/2}((d-1)/2, 1/2)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return 1.5 * betainc(0.5, (d - 1) / 2.0, 0.5)
+    return 1.5 * betainc(0.5, (d - 1) / 2.0, 0.5, _log_sin_power_norm(d))
 
 
 def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:

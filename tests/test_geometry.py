@@ -19,7 +19,6 @@ from obtri.geometry import (
     load_configuration,
     measure_batch,
     save_configuration,
-    triple_blocks,
 )
 
 A = TriangleClass.ACUTE
@@ -264,17 +263,6 @@ def _count_classes_one_batch(config, tol=1e-12):
     codes = classify_batch(pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]], tol)
     binc = np.bincount(codes, minlength=4)
     return {A: int(binc[0]), R: int(binc[1]), O: int(binc[2]), D: int(binc[3])}
-
-
-class TestTripleBlocks:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 11, 23])
-    def test_combinations_order(self, n):
-        blocks = list(triple_blocks(n))
-        assert len(blocks) == n - 2
-        assert [b[0, 0] for b in blocks] == list(range(n - 2))
-        assert all(b.shape == (binom3(n - i) - binom3(n - i - 1), 3) for i, b in enumerate(blocks))
-        got = [tuple(int(x) for x in row) for b in blocks for row in b]
-        assert got == list(itertools.combinations(range(n), 3))
 
 
 class TestMeasureBatch:

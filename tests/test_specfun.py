@@ -50,6 +50,16 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             log_gamma(bad)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-310])
+    def test_subnormal_is_finite(self, x):
+        # log Γ(x) ~ -log x near 0; a reflection through π / sin(πx)
+        # overflows to inf here.
+        assert math.isfinite(log_gamma(x))
+        assert log_gamma(x) == math.lgamma(x)
+
+    def test_overflow_is_inf(self):
+        assert log_gamma(1.7e308) == math.inf
+
 
 class TestLogGammaHalfRatio:
     """log(Γ(a + 1/2) / Γ(a)), the sphere normalizers' only a-dependent part."""
@@ -145,6 +155,10 @@ class TestRegIncBeta:
             betainc(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             betainc(0.5, 1.0, 0.0)
+
+    def test_subnormal_a(self):
+        # I_0.3(a, 1/2) -> 1 as a -> 0; the true value at a = 1e-320 is 1.0.
+        assert betainc(0.3, 1e-320, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_precomputed_log_beta_is_bit_identical(self, rng):
         # Both sides of the symmetry switch use log B(a, b) of the caller's (a, b).

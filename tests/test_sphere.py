@@ -112,10 +112,11 @@ class TestObtuseProbSphereFixtures:
         assert abs(got - row["expected"]) <= row["rtol"] * row["expected"], row["note"]
 
     def test_large_d_beyond_the_fixture_rtol(self):
-        # With log B((d-1)/2, 1/2) from log_gamma_half_ratio, the normalizer
-        # no longer costs digits at large d (a difference of two log-gammas
+        # Every row, large d included, is far inside the fixture rtol: with
+        # log B((d-1)/2, 1/2) from log_gamma_half_ratio, the normalizer no
+        # longer costs digits at large d (a difference of two log-gammas
         # gave up to 1.8e-13 at d = 200).
-        for row in (r for r in self.ROWS if r["d"] >= 80):
+        for row in self.ROWS:
             got = obtuse_prob_sphere(row["d"])
             assert abs(got - row["expected"]) <= 2e-14 * row["expected"], row["d"]
 
@@ -164,6 +165,15 @@ class TestAsymptoticSphere:
     def test_d2(self):
         # I_{1/2}(1/2, 1/2) = 1/2 by symmetry
         assert asymptotic_sphere(2) == pytest.approx(0.75, abs=1e-13)
+
+    def test_against_30_digit_mpmath(self):
+        # One log B((d-1)/2, 1/2) from log_gamma_half_ratio: a difference of
+        # log-gammas costs up to 2e-13 relative by d = 1000.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for d in [*range(2, 60), 80, 120, 200, 400, 1000]:
+                expected = 1.5 * mp.betainc((d - 1) / mp.mpf(2), 0.5, 0, 0.5, regularized=True)
+                assert abs(asymptotic_sphere(d) - expected) <= 5e-14 * expected, d
 
     def test_relative_gap_grows_with_dimension(self):
         # The plug-in value at theta = pi/2 underestimates by a factor that
