@@ -11,6 +11,11 @@ triangle under test.  A dot product within ``tol * scale`` of zero is called
 Right; a triangle whose area is at most ``tol * scale`` is Degenerate
 (coincident or collinear points).  Degenerate wins over Right wins over
 Obtuse, so every triangle lands in exactly one class.
+
+One kernel, ``measure_batch``, computes the codes for every caller.  In R^2
+and R^3 it works on coordinate-major edges, so each pass is a contiguous
+loop over the triples and each dot product is summed in one fixed order on
+every host; from d = 4 on it keeps ``einsum`` on row-major edges.
 """
 
 from __future__ import annotations
@@ -92,26 +97,10 @@ class Configuration:
         return cls(points=pts)
 
 
-def _triangle_area(u: np.ndarray, v: np.ndarray,
-                   l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.ndarray:
-    """Areas of triangles abc from the edge vectors u = b - a, v = c - a and
-    the squared edge lengths, stable for needles.
-
-    In 2 and 3 dimensions the cross product of the edge-difference vectors is
-    used: the differences are computed first, so large common coordinates
-    cancel exactly and the area keeps full relative accuracy even when it is
-    tens of orders of magnitude below the edge lengths.  In higher dimension
-    there is no cross product; Kahan's ordered Heron formula on the three
-    edge lengths is the best length-only fallback.
-    """
-    d = u.shape[-1]
-    if d == 2:
-        return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    if d == 3:
-        cx = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-        cy = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-        cz = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-        return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+def _triangle_area(l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.ndarray:
+    """Triangle areas by Kahan's ordered Heron formula on the squared edge
+    lengths: stable for needles, and the best length-only form where there
+    is no cross product (d = 1 and d >= 4)."""
     # Order the side lengths sa >= sb >= sc with a three-element min/max
     # network (it selects the same values as sorting), writing each result
     # into a buffer whose contents are no longer needed.
@@ -135,9 +124,7 @@ def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the next triple's a minus this c); then c - a is written over that
     third slot one coordinate at a time.
     """
-    tri = np.ascontiguousarray(tri, dtype=float)
-    if tri.ndim < 2 or tri.shape[-2] != 3:
-        raise ValueError(f"a triangle block has shape (..., 3, d), got {tri.shape}")
+    tri = np.ascontiguousarray(tri)
     d = tri.shape[-1]
     flat = tri.reshape(-1)
     edges = np.empty_like(tri)
@@ -147,22 +134,57 @@ def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges[..., 0, :], edges[..., 2, :], edges[..., 1, :]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row dot products of two (..., d) arrays.
+def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``((dot_a, dot_b, dot_c), area, scale, work)`` in R^2 and R^3 from
+    vertex arrays of one shape (..., d), flat over the triples; ``work`` is
+    the rows of the edge buffer, free once these are computed.
 
-    In the plane they are written out as u0*v0 + u1*v1: a two-term sum has
-    one rounding whatever the order, so this equals ``einsum`` bit for bit
-    except that an exact zero may come out as -0.0 where ``einsum`` (which
-    adds into a zeroed output) gives +0.0.  The kernel only compares the
-    dot products and takes their absolute values, so its results do not
-    change, and the plain form costs three ufunc calls instead of one
-    ``einsum`` call with a much larger fixed cost.  From d = 3 on
-    ``einsum`` stays: its summation order follows numpy's SIMD dispatch,
-    and the pinned counts were computed with it.
+    The edges go into one coordinate-major (d, 4, ...) buffer, written from
+    the transposed vertex views (broadcast vertices are read in place), so
+    every later pass is a contiguous loop over the triples.  Its slots ba,
+    bc, ac, ab pair up as the edges at b, c and a: with cur = slots 0..2 and
+    nxt = slots 1..3, the vertex dot products are one sum over coordinates
+    j of cur[j] * nxt[j], and the squared lengths one sum of cur[j]**2, each
+    in ``einsum``'s order on the host that made the pinned digests: p0 + p1
+    at d = 2, (p0 + p2) + p1 at d = 3.  (Only an exact zero's sign may
+    differ, which the kernel never looks at.)  The area is half the norm of
+    the cross product of ba and ac, whose differences cancel large common
+    coordinates first, so needles keep full relative accuracy.  Besides the
+    buffer only the dot products and one (3, ...) scratch block are
+    allocated: 18 values per triple at d = 3.
     """
-    if u.shape[-1] == 2:
-        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-    return np.einsum("...i,...i->...", u, v)
+    d, lead = a.shape[-1], a.shape[-2::-1]  # x.T reverses the triples' axes
+    edges = np.empty((d, 4) + lead)
+    np.subtract(a.T, b.T, out=edges[:, 0])
+    np.subtract(c.T, b.T, out=edges[:, 1])
+    np.subtract(c.T, a.T, out=edges[:, 2])
+    edges = edges.reshape(d, 4, -1)  # one axis of triples, also for a single one
+    np.negative(edges[:, 0], out=edges[:, 3])
+    cur, nxt = edges[:, :3], edges[:, 1:]
+    rest = (-1, 1)[:d - 1]  # the terms after p0 in einsum's order: p1, or p2 then p1
+    dots, scratch = np.multiply(cur[0], nxt[0]), np.empty_like(cur[0])
+    for j in rest:
+        dots += np.multiply(cur[j], nxt[j], out=scratch)
+    # Slot 3 is free now: it takes one product of each cross component
+    # u_i v_j - u_j v_i, formed in the scratch rows.
+    u, v, tmp = edges[:, 0], edges[:, 2], edges[0, 3]
+    for k, (i, j) in enumerate(((0, 1),) if d == 2 else ((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[i], v[j], out=scratch[k])
+        scratch[k] -= np.multiply(u[j], v[i], out=tmp)
+    area = scratch[0]
+    if d == 2:
+        np.abs(area, out=area)
+    else:
+        np.multiply(scratch, scratch, out=scratch)
+        area += scratch[1]
+        area += scratch[2]
+        np.sqrt(area, out=area)
+    area *= 0.5
+    lengths = np.multiply(cur[0], cur[0], out=cur[0])  # squared |ab|, |bc|, |ac|
+    for j in rest:
+        lengths += np.multiply(cur[j], cur[j], out=cur[j])
+    scale = np.maximum(lengths[0], np.maximum(lengths[2], lengths[1], out=scratch[1]), out=scratch[1])
+    return (dots[2], dots[0], dots[1]), area, scale, edges.reshape(4 * d, -1)
 
 
 def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
@@ -172,13 +194,14 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     Takes the triangles in one of two forms:
 
     * vertex form, ``measure_batch(a, b, c, tol)``: stacked vertices of
-      shape (..., d);
+      shape (..., d), which may be broadcast views;
     * block form, ``measure_batch(tri, tol=tol)``: one array of shape
       (..., 3, d) whose rows are the vertices a, b, c, with ``tol`` passed
-      by keyword.  Its edges come without d-long inner loops (see
-      ``_block_edges``).  The Monte Carlo engine's shard blocks are
-      C-contiguous; any other block is copied first.
+      by keyword.
 
+    In R^2 and R^3 both forms go to ``_coordinate_measures`` as views.  Else
+    the edges are (..., d) rows, the block form's from ``_block_edges``
+    (which copies a block that is not C-contiguous).
     Both forms compute every edge, dot product and length by the same
     floating-point operations, so they return bit-identical results.
 
@@ -190,37 +213,50 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if b is None and c is None:
-        ab, ac, bc = _block_edges(a)
+        tri = np.asarray(a, dtype=float)
+        if tri.ndim < 2 or tri.shape[-2] != 3:
+            raise ValueError(f"a triangle block has shape (..., 3, d), got {tri.shape}")
+        a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
     elif b is None or c is None:
         raise ValueError("give the vertices a, b and c, or one (..., 3, d) block "
                          "with tol by keyword")
     else:
+        tri = None
         a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
-        ab = b - a
-        ac = c - a
-        bc = c - b
-    dot_a = _dot(ab, ac)
-    dot_b = -_dot(ab, bc)
-    dot_c = _dot(ac, bc)
-    l_ab = _dot(ab, ab)
-    l_ac = _dot(ac, ac)
-    l_bc = _dot(bc, bc)
-    # The (..., d) edge vectors are the largest temporaries: drop them as soon
-    # as they are used, so a Monte Carlo shard's peak memory stays low.  (In
-    # block form the three share one buffer, freed with the last of them.)
-    del bc
-    area = _triangle_area(ab, ac, l_ab, l_ac, l_bc)
-    del ab, ac
-    scale = np.maximum(l_ab, np.maximum(l_ac, l_bc))
-    thresh = tol * scale
+        if not a.shape == b.shape == c.shape:
+            shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+            a, b, c = (np.broadcast_to(p, shape) for p in (a, b, c))
+    if a.shape[-1] in (2, 3):
+        dots, area, scale, work = _coordinate_measures(a, b, c)
+    else:
+        # From d = 4 on einsum's summation order follows numpy's SIMD
+        # dispatch and matches no plain sum, so the dot products stay on it.
+        ab, ac, bc = _block_edges(tri) if tri is not None else (b - a, c - a, c - b)
+        dot = lambda u, v: np.einsum("...i,...i->...", u, v)
+        dots = dot(ab, ac), -dot(ab, bc), dot(ac, bc)
+        work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
+        # The edge vectors are the largest temporaries: drop them before the
+        # area, so a Monte Carlo block's peak memory stays low.
+        del ab, ac, bc
+        area = _triangle_area(*work)
+        scale = np.maximum(work[0], np.maximum(work[1], work[2]))
+    # Temporaries go into free rows of ``work`` and min_abs into b's dot
+    # product, so only the codes are allocated, while the large buffers are
+    # live: allocated after those are freed, they would split the space the
+    # next block's buffers need, and a worker thread's heap would grow.
+    dot_a, dot_b, dot_c = dots
+    thresh = np.multiply(scale, tol, out=work[0])
+    min_dot = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=work[1]), out=work[1])
+    for x in dots:
+        np.abs(x, out=x)
+    min_abs = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=dot_b), out=dot_b)
 
-    min_dot = np.minimum(dot_a, np.minimum(dot_b, dot_c))
-    min_abs = np.minimum(np.abs(dot_a), np.minimum(np.abs(dot_b), np.abs(dot_c)))
-
-    out = np.zeros(np.shape(scale), dtype=np.int8)  # acute by default
-    out[min_dot < -thresh] = 2
+    out = np.zeros(scale.shape, dtype=np.int8)  # acute by default
+    out[min_dot < np.negative(thresh, out=work[2])] = 2
     out[min_abs <= thresh] = 1
     out[area <= thresh] = 3
+    if scale.ndim != a.ndim - 1:  # the coordinate-major path flattened the triples' axes
+        return tuple(x.reshape(a.shape[-2::-1]).T for x in (out, min_abs, scale))
     return out, min_abs, scale
 
 

@@ -9,8 +9,8 @@ from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE, random_rotation, regular_ngo
 from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
-    _dot,
     TriangleClass,
+    _coordinate_measures,
     classify_batch,
     classify_exact,
     classify_triangle,
@@ -307,18 +307,24 @@ def _wide_rows(rng, shape):
 
 
 class TestPlanarDotProducts:
-    """At d = 2 the kernel writes its dot products as u0*v0 + u1*v1 instead of
-    calling einsum; both round the same two products once."""
+    """At d = 2 and d = 3 the kernel sums its dot products and squared
+    lengths over coordinate-major edge rows, in ``einsum``'s order written
+    out: p0 + p1 and (p0 + p2) + p1."""
 
     def test_product_form_equals_einsum(self, rng):
-        u, v = _wide_rows(rng, (50_000, 2)), _wide_rows(rng, (50_000, 2))
-        got = _dot(u, v)
-        want = np.einsum("...i,...i->...", u, v)
-        assert np.array_equal(got, want)
-        # einsum adds into a zeroed output, so it turns an exact -0.0 into
-        # +0.0; adding +0.0 does the same and changes nothing else.
-        assert np.array_equal((got + 0.0).view(np.int64), want.view(np.int64))
-        assert np.any(np.signbit(got) & (got == 0.0))   # the case is exercised
+        tri = _wide_rows(rng, (50_000, 3, 2))
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        ab, ac, bc = b - a, c - a, c - b
+        dot = lambda u, w: np.einsum("...i,...i->...", u, w)
+        got = _coordinate_measures(a, b, c)[0]
+        want = (dot(ab, ac), -dot(ab, bc), dot(ac, bc))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+            # Only an exact zero's sign may differ (einsum adds into a zeroed
+            # output, and b's dot product is taken on the negated edge ba);
+            # adding +0.0 makes every zero +0.0 and changes nothing else.
+            assert np.array_equal((g + 0.0).view(np.int64), (w + 0.0).view(np.int64))
+        assert np.any(np.signbit(got[0]) & (got[0] == 0.0))   # the case is exercised
 
     def test_kernel_outputs_equal_einsum_kernel(self, rng):
         tri = _wide_rows(rng, (50_000, 3, 2))
@@ -335,6 +341,50 @@ class TestPlanarDotProducts:
             assert np.array_equal(got_min_abs.view(np.int64), min_abs.view(np.int64))
             assert np.array_equal(got_scale.view(np.int64), scale.view(np.int64))
         assert {1, 2, 3} <= set(np.unique(codes[:4000]).tolist())
+
+    def test_spatial_outputs_equal_written_out_sums(self, rng):
+        # Three terms round twice, so the order matters: the kernel adds
+        # (p0 + p2) + p1 whatever numpy's SIMD dispatch would do.
+        tri = _wide_rows(rng, (50_000, 3, 3)) * 1e-75   # squared cross products stay finite
+        tri[:4000] = rng.integers(-2, 3, size=(4000, 3, 3)) * np.where(
+            rng.random((4000, 3, 3)) < 0.5, 1.0, -1.0)
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        ab, ac, bc = b - a, c - a, c - b
+        dot = lambda u, w: (u[:, 0] * w[:, 0] + u[:, 2] * w[:, 2]) + u[:, 1] * w[:, 1]
+        dots = (dot(ab, ac), -dot(ab, bc), dot(ac, bc))
+        min_abs = np.minimum(np.abs(dots[0]), np.minimum(np.abs(dots[1]), np.abs(dots[2])))
+        scale = np.maximum(dot(ab, ab), np.maximum(dot(ac, ac), dot(bc, bc)))
+        for form in (measure_batch(a, b, c), measure_batch(tri, tol=1e-12)):
+            codes, got_min_abs, got_scale = form
+            assert np.array_equal(got_min_abs.view(np.int64), min_abs.view(np.int64))
+            assert np.array_equal(got_scale.view(np.int64), scale.view(np.int64))
+        assert {1, 2, 3} <= set(np.unique(codes[:4000]).tolist())
+        # Wide magnitudes make the orders differ on some rows, so the test
+        # tells (p0 + p2) + p1 from a left-to-right sum.
+        left = (ab[:, 0] * ac[:, 0] + ab[:, 1] * ac[:, 1]) + ab[:, 2] * ac[:, 2]
+        assert np.any(left != dots[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_broadcast_vertex_equals_block_form(self, rng, d):
+        # count_classes passes point i as a stride-0 view of the block's shape.
+        b, c = rng.standard_normal((2, 300, d))
+        a = np.broadcast_to(rng.standard_normal(d), b.shape)
+        tri = np.stack([a, b, c], axis=1)
+        for got, want in zip(measure_batch(a, b, c, 1e-12), measure_batch(tri, tol=1e-12),
+                             strict=True):
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_line_keeps_row_kernel(self, rng):
+        # d = 1 stays on the row kernel: one-term dot products, Heron's area.
+        tri = rng.standard_normal((500, 3, 1))
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        ab, ac, bc = (b - a)[:, 0], (c - a)[:, 0], (c - b)[:, 0]
+        min_abs = np.minimum(np.abs(ab * ac), np.minimum(np.abs(ab * bc), np.abs(ac * bc)))
+        scale = np.maximum(ab * ab, np.maximum(ac * ac, bc * bc))
+        for codes, got_min_abs, got_scale in (measure_batch(a, b, c), measure_batch(tri, tol=1e-12)):
+            assert set(np.unique(codes).tolist()) == {2, 3}   # a 180-degree angle, or none
+            assert np.array_equal(got_min_abs.view(np.int64), min_abs.view(np.int64))
+            assert np.array_equal(got_scale.view(np.int64), scale.view(np.int64))
 
 
 def _count_classes_per_triple(config, tol=1e-12):

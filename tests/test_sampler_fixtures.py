@@ -28,7 +28,7 @@ from obtri.constructions import (
     build_sampler,
     mc_self_similar,
 )
-from obtri.geometry import _triangle_area, measure_batch
+from obtri.geometry import _coordinate_measures, _triangle_area, measure_batch
 from obtri.mc import estimate
 
 FIXTURES = pathlib.Path(__file__).parent / "data" / "sampler_fixtures.json"
@@ -105,6 +105,11 @@ def sampler_digest(spec: dict, method: str, seed: int, n: int) -> str:
     return _digest(out if isinstance(out, tuple) else (out,), rng)
 
 
+# The d = 2 and d = 3 kernel digests were added on commit e0dc4d8, before the
+# kernel moved to coordinate-major edges for d <= 3; d = 4 and d = 10 are older.
+MEASURE_DIMS = (2, 3, 4, 10)
+
+
 def measure_triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random triples plus needles, collinear and coincident triples in R^d."""
     rng = np.random.default_rng(1000 + d)
@@ -131,8 +136,10 @@ def measure_triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def measure_digest(d: int) -> str:
     a, b, c = measure_triples(d)
-    u, v, w = b - a, c - a, c - b
-    area = _triangle_area(u, v, *(np.einsum("ij,ij->i", x, x) for x in (u, v, w)))
+    if d in (2, 3):
+        area = _coordinate_measures(a, b, c)[1]
+    else:
+        area = _triangle_area(*(np.einsum("ij,ij->i", x, x) for x in (b - a, c - a, c - b)))
     h = hashlib.sha256()
     for arr in (*measure_batch(a, b, c, 1e-12), area):
         arr = np.ascontiguousarray(arr)
@@ -168,7 +175,7 @@ def build_fixtures() -> dict:
                                for s in SEEDS for n in SIZES}}
             for name, (spec, method) in specs.items()
         },
-        "measure_batch": {f"d{d}": measure_digest(d) for d in (4, 10)},
+        "measure_batch": {f"d{d}": measure_digest(d) for d in MEASURE_DIMS},
         "estimate": {
             "samples": ESTIMATE_SAMPLES, "shard_size": ESTIMATE_SHARD,
             "counts": {f"{name}_seed{s}": estimate_counts(specs[name][0], s)
@@ -198,7 +205,7 @@ def test_sampler_digest(name, spec, method, seed, n):
     assert sampler_digest(spec, method, seed, n) == saved["digests"][f"seed{seed}_n{n}"]
 
 
-@pytest.mark.parametrize("d", (4, 10))
+@pytest.mark.parametrize("d", MEASURE_DIMS)
 def test_measure_batch_digest(d):
     assert measure_digest(d) == SAVED["measure_batch"][f"d{d}"]
 
