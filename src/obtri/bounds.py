@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +51,14 @@ def base_case(d: int) -> int:
     if d == 3:
         return BASE_3D
     return 2 ** d
+
+
+def _checked_base_case(d: int, n_max: int) -> int:
+    """``base_case(d)``, refusing an n_max below it."""
+    start = base_case(d)
+    if n_max < start:
+        raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
+    return start
 
 
 def binom3(n: int) -> int:
@@ -148,9 +159,7 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     that fact on consecutive checkpoint ratios (rational comparison, i.e.
     cross-multiplication), so the flag stays truthful.
     """
-    start = base_case(d)
-    if n_max < start:
-        raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
+    start = _checked_base_case(d, n_max)
     stride = max(1, (n_max - start) // RECORD_COUNT)
     t = 1
     n = start
@@ -172,6 +181,83 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
         upper_envelope=envelope,
         monotone=all(a.ratio <= b.ratio for a, b in zip(records, records[1:])),
     )
+
+
+def lower_bounds(dims: list[int] | range, n_max: int) -> list[Fraction]:
+    """``limit_bound(d, n_max).lower_bound`` for each d of ``dims``, the
+    dimensions run side by side.
+
+    Every base case is checked first, so a too-small n_max raises
+    ``limit_bound``'s error for the first failing d before any work starts.
+    The dimensions are then dealt out in turn to one process per usable CPU,
+    at most one per dimension: this process runs the first share, and forked
+    children run the others, each sending back only its bounds, pickled,
+    through a pipe.  No child outlives the call, whether it returns or
+    raises.  Without ``os.fork``, with one CPU, or when the process already
+    has other threads (forking those is unsafe), all of it runs here.
+    """
+    dims = list(dims)
+    for d in dims:
+        _checked_base_case(d, n_max)
+    workers = min(len(dims), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [limit_bound(d, n_max).lower_bound for d in dims]
+    children = []  # (pid, read end of its pipe) of every child not yet reaped
+    try:
+        for i in range(1, workers):
+            children.append(_fork_share(dims[i::workers], n_max))
+        out = [None] * len(dims)
+        out[::workers] = [limit_bound(d, n_max).lower_bound for d in dims[::workers]]
+        for i in range(1, workers):
+            out[i::workers] = _receive(*children.pop(0))
+        return out
+    finally:
+        for pid, fd in children:
+            os.close(fd)  # a child still writing gets a broken pipe and leaves
+            os.waitpid(pid, 0)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_share(share: list[int], n_max: int) -> tuple[int, int]:
+    """Fork a child that pickles the bounds of ``share`` (or the exception
+    computing them raised) into a pipe; returns its pid and the read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:  # os._exit skips the parent's exit handlers and buffered output
+            os.close(read_fd)
+            try:
+                payload = [limit_bound(d, n_max).lower_bound for d in share]
+            except Exception as exc:
+                payload = exc
+            with open(write_fd, "wb") as fh:
+                pickle.dump(payload, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive(pid: int, read_fd: int) -> list[Fraction]:
+    """Read a child's bounds to the end of its pipe, then reap it."""
+    try:
+        with open(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(f"a lower_bounds child exited with wait status {status}")
+    payload = pickle.loads(data)
+    if isinstance(payload, Exception):
+        raise payload
+    return payload
 
 
 def asymptotic_bound(d: int) -> Fraction:

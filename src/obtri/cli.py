@@ -25,12 +25,18 @@ import argparse
 import functools
 import json
 import os
-import secrets
 import sys
 from datetime import datetime, timezone
 
 from obtri import __version__
-from obtri.bounds import asymptotic_bound, limit_bound, naive_bound, records_to_csv
+from obtri.bounds import (
+    asymptotic_bound,
+    base_case,
+    limit_bound,
+    lower_bounds,
+    naive_bound,
+    records_to_csv,
+)
 from obtri.constructions import (
     DistributionSpec,
     build_sampler,
@@ -73,7 +79,13 @@ def _manifest(args) -> dict:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    return secrets.randbits(63) if seed is None else seed
+    if seed is not None:
+        return seed
+    # (Imported here: secrets, through hmac and _hashlib, adds about 6 ms to
+    # every start of the CLI, and only a seeded command run without --seed
+    # needs it.)
+    import secrets
+    return secrets.randbits(63)
 
 
 def _write(args, result: dict | str) -> None:
@@ -113,12 +125,12 @@ def cmd_bound(args) -> dict | str:
 
 def cmd_table(args) -> str:
     lo, hi = args.dims
+    dims = range(lo, hi + 1)
     lines = ["d,base_n,n_max,lower_bound,asymptotic,naive"]
-    for d in range(lo, hi + 1):
-        res = limit_bound(d, args.n_max)
+    for d, lower in zip(dims, lower_bounds(dims, args.n_max)):
         naive = repr(float(naive_bound(d))) if d >= 4 else ""
         lines.append(
-            f"{d},{res.base_n},{args.n_max},{float(res.lower_bound)!r},"
+            f"{d},{base_case(d)},{args.n_max},{float(lower)!r},"
             f"{float(asymptotic_bound(d))!r},{naive}"
         )
     return "\n".join(lines) + "\n"

@@ -232,6 +232,8 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         # From d = 4 on einsum's summation order follows numpy's SIMD
         # dispatch and matches no plain sum, so the dot products stay on it.
         ab, ac, bc = _block_edges(tri) if tri is not None else (b - a, c - a, c - b)
+        if a.ndim == 1:  # one triangle runs as a block of one: einsum returns no 0-d arrays
+            ab, ac, bc = ab[None], ac[None], bc[None]
         dot = lambda u, v: np.einsum("...i,...i->...", u, v)
         dots = dot(ab, ac), -dot(ab, bc), dot(ac, bc)
         work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
@@ -255,7 +257,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     out[min_dot < np.negative(thresh, out=work[2])] = 2
     out[min_abs <= thresh] = 1
     out[area <= thresh] = 3
-    if scale.ndim != a.ndim - 1:  # the coordinate-major path flattened the triples' axes
+    if scale.ndim != a.ndim - 1:  # flattened triples' axes, or a single triangle's block of one
         return tuple(x.reshape(a.shape[-2::-1]).T for x in (out, min_abs, scale))
     return out, min_abs, scale
 

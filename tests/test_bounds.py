@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from obtri.bounds import (
     closed_form_3d,
     K_TABLE,
     limit_bound,
+    lower_bounds,
     naive_bound,
     records_to_csv,
     recursion_step,
@@ -186,6 +189,55 @@ class TestLimitBoundEquivalence:
         assert res.lower_bound == lower
         assert res.upper_envelope == envelope
         assert res.monotone is monotone is True
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLowerBounds:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [range(5, 6), range(4, 6), range(2, 5), range(2, 9)])
+    def test_matches_serial_limit_bound(self, cpus, dims, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        assert lower_bounds(dims, 3000) == [limit_bound(d, 3000).lower_bound for d in dims]
+        assert len(forks) == min(cpus, len(dims)) - 1
+        assert_no_child_left()
+
+    def test_serial_while_other_threads_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a second thread"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            assert lower_bounds([4, 5], 500) == [limit_bound(d, 500).lower_bound for d in (4, 5)]
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_first_failing_base_case_raised_before_forking(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before checking"))
+        with pytest.raises(ValueError, match="below the base case 128 for d=7"):
+            lower_bounds(range(4, 9), 100)
+
+    def test_child_error_reaches_the_caller(self, monkeypatch):
+        def failing(d, n_max):
+            if d == 5:
+                raise ArithmeticError("d=5 failed")
+            return limit_bound(d, n_max)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(bounds, "limit_bound", failing)
+        with pytest.raises(ArithmeticError, match="d=5 failed"):
+            lower_bounds([4, 5, 6], 500)
+        assert_no_child_left()
 
 
 class TestAsymptoticAndNaive:

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from obtri.bounds import base_case, limit_bound
 from obtri.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -54,6 +56,23 @@ class TestTable:
         with pytest.raises(SystemExit) as err:
             run(["table", "--dims", "8..4"], capsys)
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_and_errors_at_any_cpu_count(self, cpus, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        code, out, _ = run(["table", "--dims", "2..8", "--n-max", "300"], capsys)
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in out.splitlines()[1:-1]]
+        assert [(int(r[0]), int(r[1]), float(r[3])) for r in rows] == [
+            (d, base_case(d), float(limit_bound(d, 300).lower_bound)) for d in range(2, 9)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        code, _, err = run(["table", "--dims", "4..8", "--n-max", "100"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: n_max=100 is below the base case 128 for d=7\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_naive_field_empty_below_four(self, capsys):
         code, out, _ = run(["table", "--dims", "2..4", "--n-max", "200"], capsys)

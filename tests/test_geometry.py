@@ -297,6 +297,15 @@ class TestMeasureBatch:
             assert got.shape == (4, 5)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
+    def test_single_triangle(self, d):
+        tri = np.arange(3.0 * d).reshape(3, d) ** 1.5
+        want = measure_batch(tri[None], tol=1e-12)
+        for got in (measure_batch(tri, tol=1e-12), measure_batch(*tri, tol=1e-12)):
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == () and x.dtype == y.dtype
+                assert x.tobytes() == y.tobytes()
+
 
 def _wide_rows(rng, shape):
     """Random rows with magnitudes from 1e-150 to 1e150 and some +0.0 and -0.0 entries."""

@@ -1,9 +1,12 @@
 """Structural guards on the package source, read with ``ast``.
 
 Every Monte Carlo path runs through the one shard engine in ``obtri.mc``:
-no other module seeds shard substreams or starts a worker pool.  And no
-module keeps an import it does not use (names listed in ``__all__`` count
-as used, so the package's re-exports are allowed).
+no other module seeds shard substreams or starts a thread pool.  The one
+process fan-out is ``obtri.bounds.lower_bounds``, which forks a child per
+share of dimensions: no other module forks, and none imports
+``multiprocessing`` or ``concurrent.futures.process``.  And no module keeps
+an import it does not use (names listed in ``__all__`` count as used, so the
+package's re-exports are allowed).
 """
 
 from __future__ import annotations
@@ -64,6 +67,26 @@ def _used(tree: ast.Module) -> set[str]:
 def test_shard_engine_names_only_in_mc(name):
     holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
     assert holders == ["mc.py"]
+
+
+def test_fork_only_in_bounds():
+    holders = [p.name for p in MODULES if "fork" in _identifiers(_tree(p))]
+    assert holders == ["bounds.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_process_pool_imports(path):
+    modules = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    pools = {m for m in modules if m.split(".")[0] == "multiprocessing"
+             or m.startswith("concurrent.futures.process")
+             or m == "concurrent.futures.ProcessPoolExecutor"}
+    assert not pools, f"{path.name} imports {sorted(pools)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
