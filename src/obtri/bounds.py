@@ -16,8 +16,12 @@ Closed forms exist in 2-D and 3-D:
     t_n = (C(n,3) - floor(n/3)) / 3            (n >= 4, planar)
     t_n = (C(n,3) - 2n + k[n mod 11]) / 11     (n >= 6, in R^3)
 
-and for large dimension the whole recursion collapses onto the telescoping
-sum of 1/C(k,3), giving the closed form 3 / ((2^d - 1)(2^d - 2)).
+and both solve the recursion exactly for every n (``tests/test_bounds.py``
+proves it residue class by residue class), so ``limit_bound`` reads t_n for
+d = 2, 3 straight from them, in O(1) per checkpoint at any n_max.  No closed
+form is known for d >= 4, where the recursion runs step by step.  For large
+dimension the whole recursion collapses onto the telescoping sum of
+1/C(k,3), giving the closed form 3 / ((2^d - 1)(2^d - 2)).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import io
 import os
 import pickle
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +107,13 @@ def closed_form_3d(n: int) -> int:
     return q
 
 
+def closed_form(d: int) -> Callable[[int], int] | None:
+    """The exact t_n of dimension d as a function of n >= base_case(d):
+    ``closed_form_2d`` or ``closed_form_3d``, or None for d >= 4, where only
+    the recursion gives t_n."""
+    return {2: closed_form_2d, 3: closed_form_3d}.get(d)
+
+
 @dataclass(frozen=True)
 class BoundRecord:
     """One row of a bound trajectory: dimension, n, t_n and the exact ratio."""
@@ -146,12 +158,15 @@ class LimitBoundResult:
 
 
 def limit_bound(d: int, n_max: int) -> LimitBoundResult:
-    """Run the recursion from (t=1, n=base_case(d)) up to n_max.
+    """t_n from (t=1, n=base_case(d)) up to n_max, at about ``RECORD_COUNT``
+    trajectory checkpoints: every ``stride``-th n from the base case, plus
+    the final row at n_max.
 
-    About ``RECORD_COUNT`` trajectory checkpoints are retained: every
-    ``stride``-th n from the base case, plus the final row at n_max.
-    Between checkpoints the loop is bare integer arithmetic; records and
-    their exact ratios are built only at checkpoints.
+    For d = 2, 3 each checkpoint's t_n comes straight from ``closed_form(d)``,
+    which solves the recursion exactly, so the work is O(RECORD_COUNT) at any
+    n_max.  For d >= 4 the recursion runs from the base case: between
+    checkpoints the loop is bare integer arithmetic, and records and their
+    exact ratios are built only at checkpoints.
 
     The ratio t_n / C(n,3) is non-decreasing at every step by construction:
     t_{n+1} = ceil(t_n (n+1)/(n-2)) >= t_n (n+1)/(n-2), and
@@ -161,13 +176,17 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     """
     start = _checked_base_case(d, n_max)
     stride = max(1, (n_max - start) // RECORD_COUNT)
+    form = closed_form(d)
     t = 1
     n = start
     records = []
     for stop in [*range(start, n_max, stride), n_max]:
-        # With k = n - 2: ceil(t (k+3)/k) = t + ceil(3t/k) = t - floor(-3t/k).
-        for k in range(n - 2, stop - 2):
-            t -= -3 * t // k
+        if form is not None:
+            t = form(stop)
+        else:
+            # With k = n - 2: ceil(t (k+3)/k) = t + ceil(3t/k) = t - floor(-3t/k).
+            for k in range(n - 2, stop - 2):
+                t -= -3 * t // k
         n = stop
         records.append(BoundRecord(d, n, t, Fraction(t, binom3(n))))
     lower = records[-1].ratio

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from obtri.bounds import base_case, closed_form_2d, closed_form_3d
+from obtri.bounds import base_case, closed_form
 from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
@@ -83,10 +83,12 @@ class SearchParams:
 
 
 def closed_form_bound(n: int, d: int) -> int | None:
-    """Closed-form minimum obtuse count for d in {2, 3}, if defined at n."""
-    if d not in (2, 3) or n < base_case(d):
+    """``closed_form(d)`` at n: the minimum obtuse count for d in {2, 3},
+    or None for other d or n below the base case."""
+    form = closed_form(d)
+    if form is None or n < base_case(d):
         return None
-    return closed_form_2d(n) if d == 2 else closed_form_3d(n)
+    return form(n)
 
 
 @dataclass(frozen=True)

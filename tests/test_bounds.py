@@ -10,6 +10,7 @@ from obtri.bounds import (
     asymptotic_bound,
     base_case,
     binom3,
+    closed_form,
     closed_form_2d,
     closed_form_3d,
     K_TABLE,
@@ -94,6 +95,55 @@ class TestClosedForms:
             assert binom3(n) * (n + 1) == binom3(n + 1) * (n - 2)
 
 
+class TestClosedFormsSolveTheRecursion:
+    """Proof that ``closed_form(d)`` equals the recursion's t_n for every n.
+
+    Write c = closed_form(d) and g(n) = c(n+1)(n-2) - c(n)(n+1).  For an
+    integer c(n), ceil(c(n)(n+1)/(n-2)) = c(n+1) exactly when
+    0 <= g(n) < n - 2.  On a residue class n = r (mod m), with m = 3 in 2-D
+    and 11 in 3-D, floor(n/3), floor((n+1)/3) and k[n mod 11], k[(n+1) mod 11]
+    are linear or constant in n, so c(n) and c(n+1) are cubics in n.  Their
+    cubic parts cancel in g, as C(n+1,3)(n-2) = C(n,3)(n+1), so g has degree
+    at most 2 there, and three equally spaced values on a line make it linear.
+    With slope s in [0, 1) and 0 <= g(n0) < n0 - 2 at the class's first
+    n0 >= base_case(d), g(n) = g(n0) + s(n - n0) stays in [0, n - 2) at every
+    later n of the class.  Integrality: n(n-1)(n-2) mod 6m, hence C(n,3)
+    mod m, depends only on n mod 6m, and so do floor(n/3) mod 3 and
+    2n - k[n mod 11] mod 11, so 6m consecutive n where c(n) does not raise
+    cover every n.  With c(base_case(d)) = 1, the recursion's start,
+    induction gives t_n = c(n) for all n >= base_case(d).
+    """
+
+    @pytest.mark.parametrize("d, m, slopes", [
+        (2, 3, {Fraction(0), Fraction(1, 3)}),
+        (3, 11, {Fraction(k, 11) for k in (0, 2, 3, 5, 6, 7)}),
+    ])
+    def test_gap_is_linear_and_in_range_on_every_residue_class(self, d, m, slopes):
+        form = closed_form(d)
+        base = base_case(d)
+        assert form(base) == 1
+        for n in range(base, base + 6 * m):
+            form(n)  # raises ArithmeticError on a numerator not divisible by m
+
+        def gap(n):
+            return form(n + 1) * (n - 2) - form(n) * (n + 1)
+
+        seen = set()
+        for n0 in range(base, base + m):
+            g0, g1, g2 = gap(n0), gap(n0 + m), gap(n0 + 2 * m)
+            assert g2 - g1 == g1 - g0
+            slope = Fraction(g1 - g0, m)
+            assert 0 <= slope < 1
+            assert 0 <= g0 < n0 - 2
+            seen.add(slope)
+        assert seen == slopes
+
+    def test_no_closed_form_above_three(self):
+        assert closed_form(2) is closed_form_2d
+        assert closed_form(3) is closed_form_3d
+        assert [closed_form(d) for d in (1, 4, 5, 8, 20)] == [None] * 5
+
+
 class TestBaseCases:
     def test_values(self):
         assert base_case(2) == 4
@@ -115,6 +165,14 @@ class TestLimitBound:
     def test_3d_matches_closed_form(self):
         res = limit_bound(3, 2000)
         assert res.final.t_n == closed_form_3d(2000)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_at_n_max_1e12(self, d):
+        res = limit_bound(d, 10 ** 12)
+        assert res.final.n == 10 ** 12
+        assert res.final.t_n == closed_form(d)(10 ** 12)
+        assert res.lower_bound == Fraction(closed_form(d)(10 ** 12), binom3(10 ** 12))
+        assert res.monotone is True
 
     def test_monotone_flag(self):
         assert limit_bound(2, 5000).monotone
@@ -185,6 +243,15 @@ class TestLimitBoundEquivalence:
         records, lower, envelope, monotone = reference_limit_bound(d, n_max, record_count)
         monkeypatch.setattr(bounds, "RECORD_COUNT", record_count)
         res = limit_bound(d, n_max)
+        assert list(res.records) == records
+        assert res.lower_bound == lower
+        assert res.upper_envelope == envelope
+        assert res.monotone is monotone is True
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_path_at_large_n_max(self, d):
+        records, lower, envelope, monotone = reference_limit_bound(d, 200000, bounds.RECORD_COUNT)
+        res = limit_bound(d, 200000)
         assert list(res.records) == records
         assert res.lower_bound == lower
         assert res.upper_envelope == envelope
