@@ -116,13 +116,12 @@ def _triangle_area(l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.n
 
 
 def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edge vectors ``(b - a, c - a, c - b)`` of a (..., 3, d) block.
-
-    They share one (..., 3, d) buffer, filled without d-long inner loops:
-    one subtraction over the flattened block, each row minus the one
-    before, gives every b - a and c - b (and, in each triple's third slot,
-    the next triple's a minus this c); then c - a is written over that
-    third slot one coordinate at a time.
+    """The edge vectors ``(b - a, c - a, c - b)`` of an (m, 3, d) block, as
+    (m, d) views of one (m, 3, d) buffer filled without d-long inner loops:
+    one subtraction over the flattened block, each row minus the one before,
+    gives every b - a and c - b (and, in each triple's third slot, the next
+    triple's a minus this c); then c - a is written over that third slot one
+    coordinate at a time.
     """
     tri = np.ascontiguousarray(tri)
     d = tri.shape[-1]
@@ -130,35 +129,34 @@ def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges = np.empty_like(tri)
     np.subtract(flat[d:], flat[:flat.size - d], out=edges.reshape(-1)[:flat.size - d])
     for j in range(d):
-        np.subtract(tri[..., 2, j], tri[..., 0, j], out=edges[..., 2, j])
-    return edges[..., 0, :], edges[..., 2, :], edges[..., 1, :]
+        np.subtract(tri[:, 2, j], tri[:, 0, j], out=edges[:, 2, j])
+    return edges[:, 0], edges[:, 2], edges[:, 1]
 
 
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """``((dot_a, dot_b, dot_c), area, scale, work)`` in R^2 and R^3 from
-    vertex arrays of one shape (..., d), flat over the triples; ``work`` is
-    the rows of the edge buffer, free once these are computed.
+    (m, d) vertex rows, as (m,) arrays; ``work`` is the rows of the edge
+    buffer, free once these are computed.
 
-    The edges go into one coordinate-major (d, 4, ...) buffer, written from
-    the transposed vertex views (broadcast vertices are read in place), so
-    every later pass is a contiguous loop over the triples.  Its slots ba,
-    bc, ac, ab pair up as the edges at b, c and a: with cur = slots 0..2 and
-    nxt = slots 1..3, the vertex dot products are one sum over coordinates
-    j of cur[j] * nxt[j], and the squared lengths one sum of cur[j]**2, each
-    in ``einsum``'s order on the host that made the pinned digests: p0 + p1
-    at d = 2, (p0 + p2) + p1 at d = 3.  (Only an exact zero's sign may
-    differ, which the kernel never looks at.)  The area is half the norm of
-    the cross product of ba and ac, whose differences cancel large common
+    The edges go into one coordinate-major (d, 4, m) buffer, written from
+    the transposed vertex rows (stride-0 rows are read in place), so every
+    later pass is a contiguous loop over the triples.  Its slots ba, bc, ac,
+    ab pair up as the edges at b, c and a: with cur = slots 0..2 and nxt =
+    slots 1..3, the vertex dot products are one sum over coordinates j of
+    cur[j] * nxt[j], and the squared lengths one sum of cur[j]**2, each in
+    ``einsum``'s order on the host that made the pinned digests: p0 + p1 at
+    d = 2, (p0 + p2) + p1 at d = 3.  (Only an exact zero's sign may differ,
+    which the kernel never looks at.)  The area is half the norm of the
+    cross product of ba and ac, whose differences cancel large common
     coordinates first, so needles keep full relative accuracy.  Besides the
-    buffer only the dot products and one (3, ...) scratch block are
+    buffer only the dot products and one (3, m) scratch block are
     allocated: 18 values per triple at d = 3.
     """
-    d, lead = a.shape[-1], a.shape[-2::-1]  # x.T reverses the triples' axes
-    edges = np.empty((d, 4) + lead)
+    m, d = a.shape
+    edges = np.empty((d, 4, m))
     np.subtract(a.T, b.T, out=edges[:, 0])
     np.subtract(c.T, b.T, out=edges[:, 1])
     np.subtract(c.T, a.T, out=edges[:, 2])
-    edges = edges.reshape(d, 4, -1)  # one axis of triples, also for a single one
     np.negative(edges[:, 0], out=edges[:, 3])
     cur, nxt = edges[:, :3], edges[:, 1:]
     rest = (-1, 1)[:d - 1]  # the terms after p0 in einsum's order: p1, or p2 then p1
@@ -184,29 +182,29 @@ def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     for j in rest:
         lengths += np.multiply(cur[j], cur[j], out=cur[j])
     scale = np.maximum(lengths[0], np.maximum(lengths[2], lengths[1], out=scratch[1]), out=scratch[1])
-    return (dots[2], dots[0], dots[1]), area, scale, edges.reshape(4 * d, -1)
+    return (dots[2], dots[0], dots[1]), area, scale, edges.reshape(4 * d, m)
 
 
 def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
                   tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triangle-measure kernel: class codes with the quantities behind them.
 
-    Takes the triangles in one of two forms:
+    Takes the triangles in one of two forms, with any leading shape:
 
-    * vertex form, ``measure_batch(a, b, c, tol)``: stacked vertices of
-      shape (..., d), which may be broadcast views;
+    * vertex form, ``measure_batch(a, b, c, tol)``: vertex arrays of shape
+      (..., d) that broadcast together, such as a (d,) point with (m, d) rows;
     * block form, ``measure_batch(tri, tol=tol)``: one array of shape
       (..., 3, d) whose rows are the vertices a, b, c, with ``tol`` passed
       by keyword.
 
-    In R^2 and R^3 both forms go to ``_coordinate_measures`` as views.  Else
-    the edges are (..., d) rows, the block form's from ``_block_edges``
-    (which copies a block that is not C-contiguous).
-    Both forms compute every edge, dot product and length by the same
-    floating-point operations, so they return bit-identical results.
+    Only this function sees the leading shape: it takes either form as (m, d)
+    vertex rows and gives each output that shape back.  In R^2 and R^3 the
+    rows go to ``_coordinate_measures``; else the edges are (m, d) rows, the
+    block form's from ``_block_edges``.  Both forms compute every value by
+    the same floating-point operations, so they return bit-identical results.
 
-    Returns ``(codes, min_abs, scale)`` of shape (...,): the int8 class code
-    (see ``classify_batch``), the smallest |vertex dot product| and the
+    Returns ``(codes, min_abs, scale)`` of the leading shape: the int8 class
+    code (see ``classify_batch``), the smallest |vertex dot product| and the
     largest squared edge length.  ``min_abs / scale`` is the normalized
     right-angle margin that the annealing search maximizes.
     """
@@ -216,7 +214,9 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         tri = np.asarray(a, dtype=float)
         if tri.ndim < 2 or tri.shape[-2] != 3:
             raise ValueError(f"a triangle block has shape (..., 3, d), got {tri.shape}")
-        a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+        lead, d = tri.shape[:-2], tri.shape[-1]
+        tri = tri.reshape(math.prod(lead), 3, d)
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     elif b is None or c is None:
         raise ValueError("give the vertices a, b and c, or one (..., 3, d) block "
                          "with tol by keyword")
@@ -224,16 +224,16 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         tri = None
         a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
         if not a.shape == b.shape == c.shape:
-            shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-            a, b, c = (np.broadcast_to(p, shape) for p in (a, b, c))
-    if a.shape[-1] in (2, 3):
+            shape = np.broadcast(a, b, c).shape
+            a, b, c = (p if p.shape == shape else np.broadcast_to(p, shape) for p in (a, b, c))
+        lead, d = a.shape[:-1], a.shape[-1]
+        a, b, c = (p.reshape(math.prod(lead), d) for p in (a, b, c))
+    if d in (2, 3):
         dots, area, scale, work = _coordinate_measures(a, b, c)
     else:
         # From d = 4 on einsum's summation order follows numpy's SIMD
         # dispatch and matches no plain sum, so the dot products stay on it.
         ab, ac, bc = _block_edges(tri) if tri is not None else (b - a, c - a, c - b)
-        if a.ndim == 1:  # one triangle runs as a block of one: einsum returns no 0-d arrays
-            ab, ac, bc = ab[None], ac[None], bc[None]
         dot = lambda u, v: np.einsum("...i,...i->...", u, v)
         dots = dot(ab, ac), -dot(ab, bc), dot(ac, bc)
         work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
@@ -257,9 +257,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     out[min_dot < np.negative(thresh, out=work[2])] = 2
     out[min_abs <= thresh] = 1
     out[area <= thresh] = 3
-    if scale.ndim != a.ndim - 1:  # flattened triples' axes, or a single triangle's block of one
-        return tuple(x.reshape(a.shape[-2::-1]).T for x in (out, min_abs, scale))
-    return out, min_abs, scale
+    return out.reshape(lead), min_abs.reshape(lead), scale.reshape(lead)
 
 
 def classify_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
@@ -284,7 +282,7 @@ def classify_triangle(a: Sequence[float], b: Sequence[float], c: Sequence[float]
         raise ValueError(
             f"dimension mismatch: {pa.shape[0]}, {pb.shape[0]}, {pc.shape[0]}"
         )
-    code = int(classify_batch(pa[None, :], pb[None, :], pc[None, :], tol)[0])
+    code = int(classify_batch(pa, pb, pc, tol))
     return CLASS_ORDER[code]
 
 
@@ -299,8 +297,8 @@ def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[Trian
     Counts are exact Python ints and always sum to C(n, 3).  Triples are
     classified one first index i at a time, from endpoints gathered once:
     the pairs j < k in ``triu_indices`` order run by j, so the pairs with
-    j > i are a contiguous suffix of them, classified against point i
-    broadcast to their shape.
+    j > i are a contiguous suffix of them, (m, d) rows passed with the (d,)
+    point i, which the kernel broadcasts as a stride-0 view.
     """
     pts = config.points
     n = config.n
@@ -311,7 +309,7 @@ def count_classes(config: Configuration, tol: float = DEFAULT_TOL) -> dict[Trian
     for i in range(n - 2):
         start += n - 1 - i  # pairs whose first index is i or less
         b, c = b_all[start:], c_all[start:]
-        codes = classify_batch(np.broadcast_to(pts[i], b.shape), b, c, tol)
+        codes = classify_batch(pts[i], b, c, tol)
         binc += np.bincount(codes, minlength=4)
     return class_counts(binc)
 

@@ -291,11 +291,17 @@ class TestMeasureBatch:
                 measure_batch(np.zeros(shape), tol=1e-12)    # trailing shape not (3, d)
 
     def test_block_form_leading_shape(self, rng):
-        tri = rng.standard_normal((4, 5, 3, 3))
-        for got, want in zip(measure_batch(tri, tol=1e-12),
+        # Both forms of a block with leading axes, contiguous or reversed,
+        # give the flattened (m, 3, d) block's bytes in the leading shape.
+        for d, lead in itertools.product((1, 2, 3, 4, 10), ((4, 5), (0,))):
+            blocks = rng.standard_normal(lead + (3, d))
+            for tri in (blocks, blocks[::-1]):
+                want = measure_batch(tri.reshape(-1, 3, d), tol=1e-12)
+                for form in (measure_batch(tri, tol=1e-12),
                              measure_batch(tri[..., 0, :], tri[..., 1, :], tri[..., 2, :], 1e-12)):
-            assert got.shape == (4, 5)
-            assert np.array_equal(got, want)
+                    for got, flat in zip(form, want, strict=True):
+                        assert got.shape == lead and got.dtype == flat.dtype, (d, lead)
+                        assert got.tobytes() == flat.tobytes(), (d, lead)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_single_triangle(self, d):
@@ -373,15 +379,19 @@ class TestPlanarDotProducts:
         left = (ab[:, 0] * ac[:, 0] + ab[:, 1] * ac[:, 1]) + ab[:, 2] * ac[:, 2]
         assert np.any(left != dots[0])
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_broadcast_vertex_equals_block_form(self, rng, d):
-        # count_classes passes point i as a stride-0 view of the block's shape.
-        b, c = rng.standard_normal((2, 300, d))
-        a = np.broadcast_to(rng.standard_normal(d), b.shape)
-        tri = np.stack([a, b, c], axis=1)
-        for got, want in zip(measure_batch(a, b, c, 1e-12), measure_batch(tri, tol=1e-12),
-                             strict=True):
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        # count_classes passes point i as one (d,) vertex with (m, d) ends.
+        # Vertices of mixed shapes, or stride-0 views of their common shape,
+        # give the flattened (m, 3, d) block's bytes in the broadcast shape.
+        for shapes in (((), (300,), (300,)), ((4, 1), (1, 5), (5,))):
+            a, b, c = (rng.standard_normal(s + (d,)) for s in shapes)
+            tri = np.stack(np.broadcast_arrays(a, b, c), axis=-2).reshape(-1, 3, d)
+            want = measure_batch(tri, tol=1e-12)
+            for vertices in ((a, b, c), np.broadcast_arrays(a, b, c)):
+                for got, flat in zip(measure_batch(*vertices, 1e-12), want, strict=True):
+                    assert got.shape == np.broadcast_shapes(*shapes), shapes
+                    assert got.tobytes() == flat.tobytes(), shapes
 
     def test_line_keeps_row_kernel(self, rng):
         # d = 1 stays on the row kernel: one-term dot products, Heron's area.

@@ -4,7 +4,9 @@ Every Monte Carlo path runs through the one shard engine in ``obtri.mc``:
 no other module seeds shard substreams or starts a thread pool.  The one
 process fan-out is ``obtri.bounds.lower_bounds``, which forks a child per
 share of dimensions: no other module forks, and none imports
-``multiprocessing`` or ``concurrent.futures.process``.  And no module keeps
+``multiprocessing`` or ``concurrent.futures.process``.  Every triangle is
+measured by the one kernel in ``obtri.geometry``: no other module sums dot
+products with ``einsum`` or reaches the kernel's helpers.  And no module keeps
 an import it does not use (names listed in ``__all__`` count as used, so the
 package's re-exports are allowed).
 """
@@ -19,6 +21,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "obtri"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
+KERNEL_ONLY = ("einsum", "_coordinate_measures", "_block_edges", "_triangle_area")
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -67,6 +70,12 @@ def _used(tree: ast.Module) -> set[str]:
 def test_shard_engine_names_only_in_mc(name):
     holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
     assert holders == ["mc.py"]
+
+
+@pytest.mark.parametrize("name", KERNEL_ONLY)
+def test_triangle_kernel_names_only_in_geometry(name):
+    holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
+    assert holders == ["geometry.py"]
 
 
 def test_fork_only_in_bounds():
