@@ -134,55 +134,65 @@ def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """``((dot_a, dot_b, dot_c), area, scale, work)`` in R^2 and R^3 from
-    (m, d) vertex rows, as (m,) arrays; ``work`` is the rows of the edge
-    buffer, free once these are computed.
+    """``(dots, area, scale, work)`` in R^2 and R^3 from (m, d) vertex rows:
+    the (3, m) dot products at a, b and c, the (m,) area and largest squared
+    edge length, and ``work``, rows of the buffer that are free once these
+    are computed.
 
-    The edges go into one coordinate-major (d, 4, m) buffer, written from
-    the transposed vertex rows (stride-0 rows are read in place), so every
-    later pass is a contiguous loop over the triples.  Its slots ba, bc, ac,
-    ab pair up as the edges at b, c and a: with cur = slots 0..2 and nxt =
-    slots 1..3, the vertex dot products are one sum over coordinates j of
-    cur[j] * nxt[j], and the squared lengths one sum of cur[j]**2, each in
-    ``einsum``'s order on the host that made the pinned digests: p0 + p1 at
-    d = 2, (p0 + p2) + p1 at d = 3.  (Only an exact zero's sign may differ,
-    which the kernel never looks at.)  The area is half the norm of the
-    cross product of ba and ac, whose differences cancel large common
-    coordinates first, so needles keep full relative accuracy.  Besides the
-    buffer only the dot products and one (3, m) scratch block are
-    allocated: 18 values per triple at d = 3.
+    The edges go into one coordinate-major (d, 4, m) buffer, slots ca, ba,
+    bc, ac, written from the transposed vertex rows (stride-0 rows are read
+    in place), so every later pass is a contiguous loop over the triples.
+    Adjacent slots are the two edges at a, b and c: with cur = slots 0..2
+    and nxt = slots 1..3, the dot products are one sum over coordinates j
+    of cur[j] * nxt[j], and the squared lengths of ba, bc, ac one sum of
+    nxt[j]**2, each in ``einsum``'s order on the host that made the pinned
+    digests: p0 + p1 at d = 2, (p0 + p2) + p1 at d = 3.  (Only an exact
+    zero's sign may differ, which the kernel never looks at.)  Each pass
+    covers all three vertices, or all three edges, at once: at m = 15 a
+    numpy call costs far more than its arithmetic.  The area is half the
+    norm of the cross product of ba and ac, whose differences cancel large
+    common coordinates first, so needles keep full relative accuracy.
+    Besides the buffer only the (3, m) dot products and one (3, m) scratch
+    block are allocated: 18 values per triple at d = 3.
     """
     m, d = a.shape
-    edges = np.empty((d, 4, m))
-    np.subtract(a.T, b.T, out=edges[:, 0])
-    np.subtract(c.T, b.T, out=edges[:, 1])
-    np.subtract(c.T, a.T, out=edges[:, 2])
-    np.negative(edges[:, 0], out=edges[:, 3])
+    edges, dots, part = np.empty((d, 4, m)), np.empty((3, m)), np.empty((3, m))
+    at, bt, ct = a.T, b.T, c.T
+    np.subtract(at, ct, out=edges[:, 0])
+    np.subtract(at, bt, out=edges[:, 1])
+    np.subtract(ct, bt, out=edges[:, 2])
+    np.subtract(ct, at, out=edges[:, 3])
     cur, nxt = edges[:, :3], edges[:, 1:]
     rest = (-1, 1)[:d - 1]  # the terms after p0 in einsum's order: p1, or p2 then p1
-    dots, scratch = np.multiply(cur[0], nxt[0]), np.empty_like(cur[0])
+    np.multiply(cur[0], nxt[0], out=dots)
     for j in rest:
-        dots += np.multiply(cur[j], nxt[j], out=scratch)
-    # Slot 3 is free now: it takes one product of each cross component
-    # u_i v_j - u_j v_i, formed in the scratch rows.
-    u, v, tmp = edges[:, 0], edges[:, 2], edges[0, 3]
-    for k, (i, j) in enumerate(((0, 1),) if d == 2 else ((1, 2), (2, 0), (0, 1))):
-        np.multiply(u[i], v[j], out=scratch[k])
-        scratch[k] -= np.multiply(u[j], v[i], out=tmp)
-    area = scratch[0]
+        dots += np.multiply(cur[j], nxt[j], out=part)
+    # The cross product of u = ba and v = ac, from products u_i v_j and
+    # u_j v_i: in the scratch rows at d = 2; at d = 3 the u_i v_j go to
+    # slot 0, free now, and the difference is written there too, since
+    # numpy would buffer it into a contiguous output.
+    u, v = edges[:, 1], edges[:, 3]
     if d == 2:
+        np.multiply(u, v[::-1], out=part[:2])
+        area = part[0]
+        area -= part[1]
         np.abs(area, out=area)
     else:
-        np.multiply(scratch, scratch, out=scratch)
-        area += scratch[1]
-        area += scratch[2]
+        np.multiply(u[1:], v[::-2], out=edges[:2, 0])
+        np.multiply(u[0], v[1], out=edges[2, 0])
+        np.multiply(u[::-2], v[1:], out=part[:2])
+        np.multiply(u[1], v[0], out=part[2])
+        cross = np.subtract(edges[:, 0], part, out=edges[:, 0])
+        area = np.square(cross, out=cross)[0]
+        area += cross[1]
+        area += cross[2]
         np.sqrt(area, out=area)
     area *= 0.5
-    lengths = np.multiply(cur[0], cur[0], out=cur[0])  # squared |ab|, |bc|, |ac|
+    lengths = np.square(nxt, out=nxt)[0]  # squared |ab|, |bc|, |ac|
     for j in rest:
-        lengths += np.multiply(cur[j], cur[j], out=cur[j])
-    scale = np.maximum(lengths[0], np.maximum(lengths[2], lengths[1], out=scratch[1]), out=scratch[1])
-    return (dots[2], dots[0], dots[1]), area, scale, edges.reshape(4 * d, m)
+        lengths += nxt[j]
+    scale = np.maximum(lengths[0], np.maximum(lengths[2], lengths[1], out=part[1]), out=part[1])
+    return dots, area, scale, lengths
 
 
 def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
@@ -206,7 +216,10 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     Returns ``(codes, min_abs, scale)`` of the leading shape: the int8 class
     code (see ``classify_batch``), the smallest |vertex dot product| and the
     largest squared edge length.  ``min_abs / scale`` is the normalized
-    right-angle margin that the annealing search maximizes.
+    right-angle margin that the annealing search maximizes.  Each call
+    returns fresh arrays that the caller may write; in R^2 and R^3
+    ``min_abs`` and ``scale`` are rows of (3, m) buffers, so keeping either
+    keeps three values per triple alive.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -234,8 +247,11 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         # From d = 4 on einsum's summation order follows numpy's SIMD
         # dispatch and matches no plain sum, so the dot products stay on it.
         ab, ac, bc = _block_edges(tri) if tri is not None else (b - a, c - a, c - b)
-        dot = lambda u, v: np.einsum("...i,...i->...", u, v)
-        dots = dot(ab, ac), -dot(ab, bc), dot(ac, bc)
+        dot = lambda u, v, out=None: np.einsum("...i,...i->...", u, v, out=out)
+        dots = np.empty((3, ab.shape[0]))
+        dot(ab, ac, dots[0])
+        np.negative(dot(ab, bc, dots[1]), out=dots[1])
+        dot(ac, bc, dots[2])
         work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
         # The edge vectors are the largest temporaries: drop them before the
         # area, so a Monte Carlo block's peak memory stays low.
@@ -243,21 +259,21 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         area = _triangle_area(*work)
         scale = np.maximum(work[0], np.maximum(work[1], work[2]))
     # Temporaries go into free rows of ``work`` and min_abs into b's dot
-    # product, so only the codes are allocated, while the large buffers are
+    # product, so only the codes are allocated while the large buffers are
     # live: allocated after those are freed, they would split the space the
-    # next block's buffers need, and a worker thread's heap would grow.
-    dot_a, dot_b, dot_c = dots
+    # next block's buffers need, and a worker thread's heap would grow.  The
+    # obtuse flags are written as the codes' bytes and doubled, so the one
+    # dense class needs no masked store.
+    dot_a, dot_b, dot_c = dots[0], dots[1], dots[2]
     thresh = np.multiply(scale, tol, out=work[0])
-    min_dot = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=work[1]), out=work[1])
-    for x in dots:
-        np.abs(x, out=x)
+    low = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=work[1]), out=work[1])
+    np.abs(dots, out=dots)
     min_abs = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=dot_b), out=dot_b)
-
-    out = np.zeros(scale.shape, dtype=np.int8)  # acute by default
-    out[min_dot < np.negative(thresh, out=work[2])] = 2
-    out[min_abs <= thresh] = 1
-    out[area <= thresh] = 3
-    return out.reshape(lead), min_abs.reshape(lead), scale.reshape(lead)
+    codes = np.greater(np.negative(low, out=low), thresh).view(np.int8)
+    codes += codes  # 0 acute, 2 obtuse
+    codes[min_abs <= thresh] = 1
+    codes[area <= thresh] = 3
+    return codes.reshape(lead), min_abs.reshape(lead), scale.reshape(lead)
 
 
 def classify_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,

@@ -148,7 +148,8 @@ def search_min(params: SearchParams) -> SearchResult:
     by pushing the configuration away from right angles (maximizing the
     minimum normalized |dot| margin).  The class code and margin of every
     triple are kept between moves; a move re-measures only the C(n-1, 2)
-    triples that contain the moved point.
+    triples that contain the moved point, and writes their codes back only
+    when it is accepted.
 
     Raises:
         InvariantViolation: if the best non-acute count in d = 2 or 3 falls
@@ -156,24 +157,24 @@ def search_min(params: SearchParams) -> SearchResult:
     """
     idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
     # For each point, the triples that contain it: all a move has to re-measure,
-    # as flat corner indices (a, b, c of each triple in turn) for one gather.
+    # as their (m, 3) corner indices for one gather into a block every move
+    # reuses (each point is in C(n-1, 2) triples).
     touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]
-    corners = [idx[t].reshape(-1) for t in touching]
+    corners = [idx[t] for t in touching]
+    block = np.empty(corners[0].shape + (params.d,))
     strict = params.mode == "strict-obtuse"
     cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
     shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
 
-    def measure(pts, flat):
-        """Class codes and normalized margins min|dot|/scale of the triples
-        whose corners are ``flat``, measured as one (m, 3, d) block."""
-        tri = pts.take(flat, axis=0).reshape(-1, 3, params.d)
+    def measure(tri):
+        """Class codes and normalized margins min|dot|/scale of an (m, 3, d)
+        block of triples."""
         codes, min_abs, scale = measure_batch(tri, tol=params.tol)
-        return codes, min_abs / np.maximum(scale, 1e-300)
+        return codes, np.divide(min_abs, np.maximum(scale, 1e-300, out=scale), out=scale)
 
-    def objective(codes, margins):
+    def tally(codes):
         # Codes: 0 acute, 1 right, 2 obtuse, 3 degenerate.
-        count = np.count_nonzero(codes == 2) if strict else np.count_nonzero(codes)
-        return int(count), float(np.minimum.reduce(margins))
+        return int(np.count_nonzero(codes == 2) if strict else np.count_nonzero(codes))
 
     best_pts: np.ndarray | None = None
     best_count = None
@@ -184,8 +185,8 @@ def search_min(params: SearchParams) -> SearchResult:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((params.seed, restart))))
         pts = np.array(_initial_points(rng, params, restart), dtype=float)
-        codes, margins = measure(pts, idx.reshape(-1))
-        count, margin = objective(codes, margins)
+        codes, margins = measure(pts.take(idx, axis=0))
+        count, margin = tally(codes), float(np.minimum.reduce(margins))
         local_pts, local_count, local_margin = pts.copy(), count, margin
         temp = T_INITIAL
         sigma = SCALE_INITIAL
@@ -196,23 +197,28 @@ def search_min(params: SearchParams) -> SearchResult:
             old = pts[k].copy()
             pts[k] = old + step
             t = touching[k]
-            old_codes, old_margins = codes[t], margins[t]
-            codes[t], margins[t] = measure(pts, corners[k])
-            cand_count, cand_margin = objective(codes, margins)
-            accept = False
-            if cand_count < count:
-                accept = True
-            elif cand_count == count:
-                accept = cand_margin >= margin
-            else:
-                accept = rng.random() < math.exp((count - cand_count) / temp)
-            if accept:
-                count, margin = cand_count, cand_margin
-                if count < local_count or (count == local_count and margin > local_margin):
-                    local_pts, local_count, local_margin = pts.copy(), count, margin
-            else:
+            # mode="clip" (the indices are in range) lets take write into
+            # the block without buffering it first.
+            new_codes, new_margins = measure(pts.take(corners[k], axis=0, out=block, mode="clip"))
+            cand_count = count - tally(codes[t]) + tally(new_codes)
+            # A move that raises the count is decided by the count alone, so
+            # a rejected one has written nothing but the point.  Any other
+            # move needs the minimum margin with its new margins in: a tie
+            # is kept only if that minimum does not fall.
+            if cand_count > count and rng.random() >= math.exp((count - cand_count) / temp):
                 pts[k] = old
-                codes[t], margins[t] = old_codes, old_margins
+            else:
+                old_margins = margins[t]
+                margins[t] = new_margins
+                cand_margin = float(np.minimum.reduce(margins))
+                if cand_count != count or cand_margin >= margin:
+                    codes[t] = new_codes
+                    count, margin = cand_count, cand_margin
+                    if count < local_count or (count == local_count and margin > local_margin):
+                        local_pts, local_count, local_margin = pts.copy(), count, margin
+                else:
+                    pts[k] = old
+                    margins[t] = old_margins
             temp *= cool
             sigma *= shrink
         per_restart.append(local_count)

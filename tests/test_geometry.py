@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE, random_rotation, regular_ngon
+from test_sampler_fixtures import measure_triples
 from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
@@ -302,6 +304,41 @@ class TestMeasureBatch:
                     for got, flat in zip(form, want, strict=True):
                         assert got.shape == lead and got.dtype == flat.dtype, (d, lead)
                         assert got.tobytes() == flat.tobytes(), (d, lead)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
+    def test_block_size_invariance(self, d):
+        # The kernel's result for a triple does not depend on the block it
+        # comes in: blocks of one, two, the annealing search's 15 and 171,
+        # and a Monte Carlo chunk of 4,096 rows give the bytes of one whole
+        # call, in both forms.  The triples hold needles, far-off, collinear
+        # and coincident ones.
+        a, b, c = (np.resize(x, (4200, d)) for x in measure_triples(d))
+        tri = np.stack([a, b, c], axis=1)
+        whole = measure_batch(tri, tol=1e-12)
+        for size in (1, 2, 15, 171, 4096):
+            for start in range(0, len(tri), size):
+                part = slice(start, start + size)
+                for form in (measure_batch(tri[part], tol=1e-12),
+                             measure_batch(a[part], b[part], c[part], 1e-12)):
+                    for got, want in zip(form, whole, strict=True):
+                        assert got.tobytes() == want[part].tobytes(), (size, start)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_block_peak_memory(self, d):
+        # One 4,096-row block, as every Monte Carlo chunk, holds the edge
+        # buffer, products and scratch rows, (4d + 6) values per triple, and
+        # a few bytes per triple for the codes and masks: no further (m,)
+        # float temporary, and no fresh (d, 3, m) one.
+        m = 4096
+        tri = np.random.default_rng(d).standard_normal((m, 3, d))
+        measure_batch(tri, tol=1e-12)
+        tracemalloc.start()
+        try:
+            measure_batch(tri, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 * d + 6) * 8 * m + 4 * m
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_single_triangle(self, d):

@@ -316,3 +316,14 @@ class TestIncrementalMatchesFullRecompute:
         # A wide Right band makes rejected moves and margin ties common.
         params = SearchParams(n=7, d=2, seed=12, iterations=300, restarts=2, tol=1e-2)
         assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()
+
+    @pytest.mark.parametrize("n, d, mode, restarts, iterations, seed", [
+        (7, 2, "non-acute", 1, 2000, 14),      # the benchmark's search shapes
+        (20, 2, "non-acute", 1, 1500, 15),
+        (20, 2, "strict-obtuse", 1, 1500, 16),
+    ])
+    def test_identical_at_benchmark_shapes(self, n, d, mode, restarts, iterations, seed):
+        # Long runs cool far enough that most moves are rejected, on the
+        # count alone or on a margin tie.
+        params = SearchParams(n=n, d=d, mode=mode, seed=seed, iterations=iterations, restarts=restarts)
+        assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()
