@@ -115,24 +115,6 @@ def _triangle_area(l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.n
     return 0.25 * np.sqrt(prod)
 
 
-def _block_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edge vectors ``(b - a, c - a, c - b)`` of an (m, 3, d) block, as
-    (m, d) views of one (m, 3, d) buffer filled without d-long inner loops:
-    one subtraction over the flattened block, each row minus the one before,
-    gives every b - a and c - b (and, in each triple's third slot, the next
-    triple's a minus this c); then c - a is written over that third slot one
-    coordinate at a time.
-    """
-    tri = np.ascontiguousarray(tri)
-    d = tri.shape[-1]
-    flat = tri.reshape(-1)
-    edges = np.empty_like(tri)
-    np.subtract(flat[d:], flat[:flat.size - d], out=edges.reshape(-1)[:flat.size - d])
-    for j in range(d):
-        np.subtract(tri[:, 2, j], tri[:, 0, j], out=edges[:, 2, j])
-    return edges[:, 0], edges[:, 2], edges[:, 1]
-
-
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """``(dots, area, scale, work)`` in R^2 and R^3 from (m, d) vertex rows:
     the (3, m) dot products at a, b and c, the (m,) area and largest squared
@@ -208,10 +190,12 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
       by keyword.
 
     Only this function sees the leading shape: it takes either form as (m, d)
-    vertex rows and gives each output that shape back.  In R^2 and R^3 the
-    rows go to ``_coordinate_measures``; else the edges are (m, d) rows, the
-    block form's from ``_block_edges``.  Both forms compute every value by
-    the same floating-point operations, so they return bit-identical results.
+    vertex rows (a block as its views ``tri[:, 0]``, ``tri[:, 1]``,
+    ``tri[:, 2]``) and gives each output that shape back.  In R^2 and R^3
+    the rows go to ``_coordinate_measures``; else the edges are the (m, d)
+    rows ``b - a``, ``c - a``, ``c - b``.  Both forms run the same code, so
+    they return bit-identical results.  Only leading axes broadcast: the
+    three vertices must have one trailing length d.
 
     Returns ``(codes, min_abs, scale)`` of the leading shape: the int8 class
     code (see ``classify_batch``), the smallest |vertex dot product| and the
@@ -234,9 +218,11 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         raise ValueError("give the vertices a, b and c, or one (..., 3, d) block "
                          "with tol by keyword")
     else:
-        tri = None
         a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
         if not a.shape == b.shape == c.shape:
+            if not a.shape[-1:] == b.shape[-1:] == c.shape[-1:]:
+                raise ValueError(
+                    f"dimension mismatch: vertex shapes {a.shape}, {b.shape}, {c.shape}")
             shape = np.broadcast(a, b, c).shape
             a, b, c = (p if p.shape == shape else np.broadcast_to(p, shape) for p in (a, b, c))
         lead, d = a.shape[:-1], a.shape[-1]
@@ -246,7 +232,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     else:
         # From d = 4 on einsum's summation order follows numpy's SIMD
         # dispatch and matches no plain sum, so the dot products stay on it.
-        ab, ac, bc = _block_edges(tri) if tri is not None else (b - a, c - a, c - b)
+        ab, ac, bc = b - a, c - a, c - b
         dot = lambda u, v, out=None: np.einsum("...i,...i->...", u, v, out=out)
         dots = np.empty((3, ab.shape[0]))
         dot(ab, ac, dots[0])

@@ -29,10 +29,10 @@ array of points exists.  Each chunk is classified ``_BLOCK`` triples at a
 time through ``_blockwise``, the loop that the samplers' per-point formulas
 also run through, so a shard's temporaries are O(_BLOCK * dim) and stay in
 cache.  Each block goes to ``classify_batch`` as one C-contiguous
-(_BLOCK, 3, dim) array (its block form), which takes the edge vectors in
-passes over the whole block rather than in one dim-long loop per triple:
-in R^2 and R^3 straight into a coordinate-major buffer, so that every
-later pass of the kernel is a contiguous loop over the block's triples.
+(_BLOCK, 3, dim) array (its block form), read as three vertex views like
+the vertex form: in R^2 and R^3 their edges go into a coordinate-major
+buffer, so every later pass is a contiguous loop over the block's
+triples; in other dimensions the edges are b - a, c - a and c - b.
 A stream draws from the shard's generator in the same order as one whole
 draw, and every element is computed by the same operations, so counts and
 sampled points are bit-identical to unchunked, unblocked evaluation.

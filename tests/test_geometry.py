@@ -291,6 +291,15 @@ class TestMeasureBatch:
         for shape in ((5, 2, 2), (5, 4, 3), (3,), (5, 3, 2, 1)):
             with pytest.raises(ValueError):
                 measure_batch(np.zeros(shape), tol=1e-12)    # trailing shape not (3, d)
+        # Vertex form: only leading axes broadcast, so a vertex with another
+        # trailing length is a dimension mismatch, not a broadcast point.
+        rows_b, rows_c = [[1, 0, 0], [0, 2, 0]], [[0, 1, 0], [0, 0, 3]]
+        for a in (np.zeros(1), np.zeros((2, 1))):
+            for f in (measure_batch, classify_batch):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    f(a, rows_b, rows_c, 1e-12)
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    f(rows_b, rows_c, a, 1e-12)
 
     def test_block_form_leading_shape(self, rng):
         # Both forms of a block with leading axes, contiguous or reversed,
@@ -305,7 +314,7 @@ class TestMeasureBatch:
                         assert got.shape == lead and got.dtype == flat.dtype, (d, lead)
                         assert got.tobytes() == flat.tobytes(), (d, lead)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 40])
     def test_block_size_invariance(self, d):
         # The kernel's result for a triple does not depend on the block it
         # comes in: blocks of one, two, the annealing search's 15 and 171,
@@ -323,12 +332,14 @@ class TestMeasureBatch:
                     for got, want in zip(form, whole, strict=True):
                         assert got.tobytes() == want[part].tobytes(), (size, start)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 10])
     def test_block_peak_memory(self, d):
-        # One 4,096-row block, as every Monte Carlo chunk, holds the edge
-        # buffer, products and scratch rows, (4d + 6) values per triple, and
-        # a few bytes per triple for the codes and masks: no further (m,)
-        # float temporary, and no fresh (d, 3, m) one.
+        # One 4,096-row block, as every Monte Carlo chunk, holds its edges,
+        # products and scratch rows, and a few bytes per triple for the
+        # codes and masks: no further (m,) float temporary, and no fresh
+        # (d, 3, m) one.  In R^2 and R^3 that is the (d, 4, m) edge buffer
+        # and six rows, (4d + 6) values per triple; from d = 4 on, the three
+        # (m, d) edges, the dot products and the squared lengths, (3d + 6).
         m = 4096
         tri = np.random.default_rng(d).standard_normal((m, 3, d))
         measure_batch(tri, tol=1e-12)
@@ -338,7 +349,8 @@ class TestMeasureBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (4 * d + 6) * 8 * m + 4 * m
+        per_triple = 4 * d + 6 if d in (2, 3) else 3 * d + 6
+        assert peak <= per_triple * 8 * m + 4 * m
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_single_triangle(self, d):
