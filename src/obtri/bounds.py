@@ -19,7 +19,14 @@ Closed forms exist in 2-D and 3-D:
 and both solve the recursion exactly for every n (``tests/test_bounds.py``
 proves it residue class by residue class), so ``limit_bound`` reads t_n for
 d = 2, 3 straight from them, in O(1) per checkpoint at any n_max.  No closed
-form is known for d >= 4, where the recursion runs step by step.  For large
+form is known for d >= 4, where the recursion runs step by step.  With
+k = n - 2 a step is t -> t - floor(-3t/k), and ``limit_bound`` carries
+u = -3t as a quotient and remainder, u = q k + r with 0 <= r < k: the step
+adds 3q to u, so u becomes q (k+1) + (2q + r), and one division of 2q + r by
+k + 1 gives the next pair.  As long as |q| fits one CPython digit, every
+operation of a step works on one-digit ints, which CPython runs on its fast
+paths, while t itself outgrows one digit near n = 10^4 at d = 4.  Reading
+t = -u / 3 back is exact, since u = -3t.  For large
 dimension the whole recursion collapses onto the telescoping sum of
 1/C(k,3), giving the closed form 3 / ((2^d - 1)(2^d - 2)).
 """
@@ -28,8 +35,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 import pickle
+import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -46,9 +55,15 @@ BASE_3D = 6
 # Trajectory checkpoints ``limit_bound`` keeps between the base case and n_max.
 RECORD_COUNT = 200
 
+# Magnitudes below this fit one digit of a CPython int, where its arithmetic
+# takes the small-int fast paths; ``limit_bound`` steps d >= 4 on its
+# one-digit quotient form while the quotient stays below it.
+DIGIT_BOUND = 1 << sys.int_info.bits_per_digit
+
 
 def base_case(d: int) -> int:
     """Recursion start N_d: 4 for d=2, 6 for d=3, 2^d for d >= 4."""
+    d = operator.index(d)  # a float d is refused, not turned into a float count
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if d == 2:
@@ -59,9 +74,9 @@ def base_case(d: int) -> int:
 
 
 def _checked_base_case(d: int, n_max: int) -> int:
-    """``base_case(d)``, refusing an n_max below it."""
+    """``base_case(d)``, refusing an n_max below it or not an integer."""
     start = base_case(d)
-    if n_max < start:
+    if operator.index(n_max) < start:
         raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
     return start
 
@@ -166,7 +181,13 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     which solves the recursion exactly, so the work is O(RECORD_COUNT) at any
     n_max.  For d >= 4 the recursion runs from the base case: between
     checkpoints the loop is bare integer arithmetic, and records and their
-    exact ratios are built only at checkpoints.
+    exact ratios are built only at checkpoints.  The loop steps the pair
+    (q, r) with -3 t_n = q (n-2) + r and 0 <= r < n - 2 (see the module
+    docstring), and each checkpoint reads t_n = -(q (n-2) + r) // 3, exact
+    because the numerator is -3 t_n.  At the first checkpoint where |q|
+    reaches ``DIGIT_BOUND`` (for d = 4 near n = 5.2e5) the pair has left one
+    digit and is slower than t itself, so from there on the loop steps t
+    directly.  Both forms give the same t_n at every n.
 
     The ratio t_n / C(n,3) is non-decreasing at every step by construction:
     t_{n+1} = ceil(t_n (n+1)/(n-2)) >= t_n (n+1)/(n-2), and
@@ -174,15 +195,24 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     that fact on consecutive checkpoint ratios (rational comparison, i.e.
     cross-multiplication), so the flag stays truthful.
     """
+    d, n_max = operator.index(d), operator.index(n_max)
     start = _checked_base_case(d, n_max)
     stride = max(1, (n_max - start) // RECORD_COUNT)
     form = closed_form(d)
     t = 1
     n = start
+    q, r = divmod(-3, start - 2)  # -3t = q k + r, 0 <= r < k, with k = n - 2
     records = []
     for stop in [*range(start, n_max, stride), n_max]:
         if form is not None:
             t = form(stop)
+        elif abs(q) < DIGIT_BOUND:
+            # One step takes -3t to -3t + 3q = q (k+1) + (2q + r); m = k + 1.
+            for m in range(n - 1, stop - 1):
+                w = q + q + r
+                q += w // m
+                r = w % m
+            t = -(q * (stop - 2) + r) // 3
         else:
             # With k = n - 2: ceil(t (k+3)/k) = t + ceil(3t/k) = t - floor(-3t/k).
             for k in range(n - 2, stop - 2):

@@ -2,6 +2,7 @@ import os
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from obtri import bounds
@@ -155,6 +156,14 @@ class TestBaseCases:
         with pytest.raises(ValueError):
             base_case(1)
 
+    def test_float_dimension_refused(self):
+        # a float d was raised to the float count 16.0
+        with pytest.raises(TypeError):
+            base_case(4.0)
+
+    def test_integer_like_dimension_accepted(self):
+        assert type(base_case(np.int64(4))) is int
+
 
 class TestLimitBound:
     def test_planar_matches_closed_form(self):
@@ -204,6 +213,12 @@ class TestLimitBound:
         assert s["base_n"] == 16
         assert s["naive"] == pytest.approx(1.0 / binom3(16))
         assert s["monotone"] is True
+
+    def test_numpy_n_max_is_exact(self):
+        # an int64 n_max overflowed C(n,3) at n = 10^12
+        res = limit_bound(np.int64(2), np.int64(10 ** 12))
+        assert res.lower_bound == limit_bound(2, 10 ** 12).lower_bound
+        assert type(res.n_max) is int and type(res.final.t_n) is int
 
     def test_csv_rendering(self, monkeypatch):
         monkeypatch.setattr(bounds, "RECORD_COUNT", 5)
@@ -258,6 +273,68 @@ class TestLimitBoundEquivalence:
         assert res.monotone is monotone is True
 
 
+QR_T = [0, 1, 2, 2 ** 29 - 1, 2 ** 29 + 1, 2 ** 30 - 1, 2 ** 30 + 1, 2 ** 60 + 7]
+QR_K = [1, 2, 3, 14, 254, 1000, 2 ** 20 + 3, 2 ** 31 + 1]
+
+
+class TestQuotientRemainderStep:
+    """The d >= 4 loop of ``limit_bound`` carries -3t = q k + r, 0 <= r < k."""
+
+    @pytest.mark.parametrize("t", QR_T)
+    @pytest.mark.parametrize("k", QR_K)
+    def test_one_step_is_recursion_step(self, t, k):
+        q, r = divmod(-3 * t, k)
+        assert -(q * k + r) // 3 == t
+        w = q + q + r
+        q, r = q + w // (k + 1), w % (k + 1)
+        assert 0 <= r < k + 1
+        assert q * (k + 1) + r == -3 * recursion_step(t, k + 2)
+        assert -(q * (k + 1) + r) // 3 == recursion_step(t, k + 2)
+
+
+def t_form_checkpoints(d, ns):
+    """t_n at each n of ``ns`` (ascending) by the plain loop t -= -3t // k."""
+    t, n, out = 1, base_case(d), []
+    for stop in ns:
+        for k in range(n - 2, stop - 2):
+            t -= -3 * t // k
+        n = stop
+        out.append(t)
+    return out
+
+
+class TestDigitHandOver:
+    @pytest.mark.parametrize("digit_bound", [1, 1 << 2, 1 << 8])
+    @pytest.mark.parametrize("d", range(4, 9))
+    @pytest.mark.parametrize("extra", [7, 200, 2500])
+    @pytest.mark.parametrize("record_count", [10, 200])
+    def test_low_bound_matches_reference(self, digit_bound, d, extra, record_count, monkeypatch):
+        n_max = base_case(d) + extra
+        records, lower, envelope, monotone = reference_limit_bound(d, n_max, record_count)
+        if digit_bound == 1 << 8 and extra == 2500 and d < 8:
+            # the quotient starts below the bound and reaches it before n_max
+            qs = [abs(-3 * rec.t_n // (rec.n - 2)) for rec in records[:-1]]
+            assert qs[0] < digit_bound <= max(qs)
+        monkeypatch.setattr(bounds, "DIGIT_BOUND", digit_bound)
+        monkeypatch.setattr(bounds, "RECORD_COUNT", record_count)
+        res = limit_bound(d, n_max)
+        assert list(res.records) == records
+        assert res.lower_bound == lower
+        assert res.upper_envelope == envelope
+        assert res.monotone is monotone is True
+
+    def test_real_bound_at_d4(self):
+        # d = 4 reaches |q| = 2^30 near n = 5.2e5, so this run hands over
+        res = limit_bound(4, 600_000)
+        first, last = res.records[0], res.records[-1]
+        assert abs(-3 * first.t_n // (first.n - 2)) < bounds.DIGIT_BOUND
+        assert abs(-3 * last.t_n // (last.n - 2)) >= bounds.DIGIT_BOUND
+        ts = t_form_checkpoints(4, [rec.n for rec in res.records])
+        assert [rec.t_n for rec in res.records] == ts
+        assert res.lower_bound == Fraction(ts[-1], binom3(600_000))
+        assert res.monotone is True
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -293,6 +370,12 @@ class TestLowerBounds:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before checking"))
         with pytest.raises(ValueError, match="below the base case 128 for d=7"):
             lower_bounds(range(4, 9), 100)
+
+    def test_float_n_max_refused_before_forking(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before checking"))
+        with pytest.raises(TypeError):
+            lower_bounds(range(4, 9), 1e5)
 
     def test_child_error_reaches_the_caller(self, monkeypatch):
         def failing(d, n_max):
