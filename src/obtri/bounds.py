@@ -26,9 +26,13 @@ adds 3q to u, so u becomes q (k+1) + (2q + r), and one division of 2q + r by
 k + 1 gives the next pair.  As long as |q| fits one CPython digit, every
 operation of a step works on one-digit ints, which CPython runs on its fast
 paths, while t itself outgrows one digit near n = 10^4 at d = 4.  Reading
-t = -u / 3 back is exact, since u = -3t.  For large
-dimension the whole recursion collapses onto the telescoping sum of
-1/C(k,3), giving the closed form 3 / ((2^d - 1)(2^d - 2)).
+t = -u / 3 back is exact, since u = -3t.
+
+``asymptotic_bound(d)`` = 3 / ((2^d - 1)(2^d - 2)) is the telescoping sum of
+1/C(k,3) from k = 2^d: the ratio the recursion would reach from t = 1 at
+n = 2^d if every ceiling added a full 1.  Each ceiling adds less, so it is a
+ceiling on what the recursion can give, not its limit (about pi/6 of it at
+large d).
 """
 
 from __future__ import annotations
@@ -310,7 +314,9 @@ def _receive(pid: int, read_fd: int) -> list[Fraction]:
 
 
 def asymptotic_bound(d: int) -> Fraction:
-    """Large-d closed form 3 / (2^{2d} - 3*2^d + 2) = 3 / ((2^d - 1)(2^d - 2))."""
+    """3 / ((2^d - 1)(2^d - 2)), the sum of 1/C(k,3) over k >= 2^d: a
+    ceiling on the recursion's ratio from the base case 2^d, not its limit
+    (see the module docstring)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     m = 2 ** d

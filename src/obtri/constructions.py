@@ -124,15 +124,21 @@ def arc_points(u: np.ndarray, radius, base_angle, vx, vy) -> np.ndarray:
     half-angle identity, so coordinates keep full relative precision even
     for tiny arcs.
     """
-    psi = u / radius
-    half = 0.5 * psi
-    two_r_sin = 2.0 * radius * np.sin(half)
-    mid = base_angle + half
-    dx = -two_r_sin * np.sin(mid)
-    dy = two_r_sin * np.cos(mid)
-    out = np.empty((psi.shape[0], 2))
-    out[:, 0] = vx + dx
-    out[:, 1] = vy + dy
+    # In place in three buffers: half the arc angle psi = u / radius, then
+    # base_angle + psi/2; 2 radius sin(psi/2); the sine and then the cosine
+    # of that mid angle times it.  vx + (-t) is written vx - t, which IEEE
+    # arithmetic defines as the same operation.
+    mid = np.divide(u, radius)
+    mid *= 0.5
+    two_r_sin = np.sin(mid)
+    two_r_sin *= 2.0 * radius
+    mid += base_angle
+    step = np.sin(mid)
+    step *= two_r_sin
+    out = np.empty((mid.shape[0], 2))
+    np.subtract(vx, step, out=out[:, 0])
+    np.multiply(np.cos(mid, out=mid), two_r_sin, out=step)
+    np.add(vy, step, out=out[:, 1])
     return out
 
 
@@ -436,6 +442,10 @@ class SelfSimilarParams:
         return asdict(self)
 
 
+# The value np.sinc puts in place of an exact zero before sin(t)/t.
+_SINC_EPS = np.finfo(float).eps
+
+
 class SelfSimilarSampler:
     """Point sampler for the nested-cap distribution (dim 3)."""
 
@@ -479,18 +489,32 @@ class SelfSimilarSampler:
     def _cap_points(self, planar: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Map planar arc-triple points onto the cap of each point's level."""
         theta = self.params.cap_half_angle
-        # Tangent coordinates in radians, construction centered on the pole.
-        tx = (planar[:, 0] - 0.5) * theta
-        ty = planar[:, 1] * theta
+        # Tangent coordinates in radians, construction centered on the pole,
+        # rotated by the level's spin: x = cs tx - sn ty, y = sn tx + cs ty.
+        tx = np.subtract(planar[:, 0], 0.5)
+        tx *= theta
+        ty = np.multiply(planar[:, 1], theta)
         cs, sn = self._spin_cos.take(levels), self._spin_sin.take(levels)
-        tx, ty = cs * tx - sn * ty, sn * tx + cs * ty
-        psi = np.hypot(tx, ty)
-        s = np.sinc(psi / math.pi)  # sin(psi)/psi, 1 at 0
-        r = self._level_radius.take(levels)
+        # Each factor is overwritten by its second product.
+        x = np.multiply(cs, tx)
+        cs_ty = np.multiply(cs, ty, out=cs)
+        x -= np.multiply(sn, ty, out=ty)
+        y = np.multiply(sn, tx, out=sn)
+        y += cs_ty
+        # np.sinc(psi / pi) written out: sin(t)/t at t = pi (psi / pi), an
+        # exact zero replaced by eps.
+        psi = np.hypot(x, y, out=tx)
+        t = np.divide(psi, math.pi, out=ty)
+        t *= math.pi
+        t[t == 0.0] = _SINC_EPS
+        scale = np.sin(t, out=cs_ty)
+        scale /= t
+        r = self._level_radius.take(levels, out=t)
+        scale *= r
         out = np.empty((levels.shape[0], 3))
-        out[:, 0] = r * s * tx
-        out[:, 1] = r * s * ty
-        out[:, 2] = r * np.cos(psi)
+        np.multiply(scale, x, out=out[:, 0])
+        np.multiply(scale, y, out=out[:, 1])
+        np.multiply(r, np.cos(psi, out=psi), out=out[:, 2])
         return out
 
     def sample(self, rng: np.random.Generator, n: int, consume=None):

@@ -15,7 +15,9 @@ Obtuse, so every triangle lands in exactly one class.
 One kernel, ``measure_batch``, computes the codes for every caller.  In R^2
 and R^3 it works on coordinate-major edges, so each pass is a contiguous
 loop over the triples and each dot product is summed in one fixed order on
-every host; from d = 4 on it keeps ``einsum`` on row-major edges.
+every host; from d = 4 on it keeps ``einsum`` on row-major edges, which a
+C-contiguous block below d = 16 fills by one subtraction over its whole
+buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+
+# Blocks of d = 4 up to this (exclusive) take ``_lagged_edges``.  Its fill is
+# faster at every d, but ``einsum`` reads the slot views, whose rows lie 3d
+# apart, more slowly than separate edge arrays; from d = 16 on a 4,096-row
+# block loses more there than the fill saves.
+_LAGGED_EDGES_BELOW = 16
 
 
 class TriangleClass(str, Enum):
@@ -115,6 +123,25 @@ def _triangle_area(l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.n
     return 0.25 * np.sqrt(prod)
 
 
+def _lagged_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges ``(b - a, c - a, c - b)`` of a C-contiguous (m, 3, d) block,
+    as (m, d) views of one (m, 3, d) buffer.
+
+    One subtraction of the block's flat buffer from itself shifted by d, each
+    vertex row minus the one before, writes every b - a and c - b in one loop
+    over the whole block instead of a loop of d elements per row; each
+    triple's third slot, which it fills with the next triple's a minus this
+    c, is then overwritten with c - a.  Every edge is the same subtraction
+    as in the vertex form, so the edges are bit-identical to it.
+    """
+    d = tri.shape[-1]
+    flat = tri.reshape(-1)
+    edges = np.empty_like(tri)
+    np.subtract(flat[d:], flat[:flat.size - d], out=edges.reshape(-1)[:flat.size - d])
+    np.subtract(tri[:, 2], tri[:, 0], out=edges[:, 2])
+    return edges[:, 0], edges[:, 2], edges[:, 1]
+
+
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """``(dots, area, scale, work)`` in R^2 and R^3 from (m, d) vertex rows:
     the (3, m) dot products at a, b and c, the (m,) area and largest squared
@@ -193,7 +220,9 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     vertex rows (a block as its views ``tri[:, 0]``, ``tri[:, 1]``,
     ``tri[:, 2]``) and gives each output that shape back.  In R^2 and R^3
     the rows go to ``_coordinate_measures``; else the edges are the (m, d)
-    rows ``b - a``, ``c - a``, ``c - b``.  Both forms run the same code, so
+    rows ``b - a``, ``c - a``, ``c - b``, which ``_lagged_edges`` fills from
+    a C-contiguous block at 4 <= d < 16 (a Monte Carlo chunk, the search's
+    gathered block).  Every edge is the same subtraction in both forms, so
     they return bit-identical results.  Only leading axes broadcast: the
     three vertices must have one trailing length d.
 
@@ -218,6 +247,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         raise ValueError("give the vertices a, b and c, or one (..., 3, d) block "
                          "with tol by keyword")
     else:
+        tri = None
         a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
         if not a.shape == b.shape == c.shape:
             if not a.shape[-1:] == b.shape[-1:] == c.shape[-1:]:
@@ -230,9 +260,17 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     if d in (2, 3):
         dots, area, scale, work = _coordinate_measures(a, b, c)
     else:
-        # From d = 4 on einsum's summation order follows numpy's SIMD
-        # dispatch and matches no plain sum, so the dot products stay on it.
-        ab, ac, bc = b - a, c - a, c - b
+        # The dot products stay on einsum, whose order follows numpy's SIMD
+        # dispatch (see the README's numerical notes for the order measured
+        # on the host that made the pinned digests).  It sums a row in that
+        # order only when the row's coordinates are adjacent, so the edges
+        # are written in C order whatever the vertices' layout.  The vertex
+        # form's rows are already contiguous, and stacking them into a
+        # block first would cost more than the fill saves.
+        if tri is not None and 4 <= d < _LAGGED_EDGES_BELOW and tri.flags.c_contiguous:
+            ab, ac, bc = _lagged_edges(tri)
+        else:
+            ab, ac, bc = (np.subtract(p, q, order="C") for p, q in ((b, a), (c, a), (c, b)))
         dot = lambda u, v, out=None: np.einsum("...i,...i->...", u, v, out=out)
         dots = np.empty((3, ab.shape[0]))
         dot(ab, ac, dots[0])

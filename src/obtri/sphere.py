@@ -177,27 +177,47 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return zero
 
 
-# numpy's pairwise summation adds runs shorter than this one term at a time.
+# numpy's pairwise summation adds runs shorter than this one term at a time
+# and longer ones in this many interleaved partial sums.
 _PAIRWISE_BLOCK = 8
+# From this many columns on numpy's own reduction is faster than the column
+# sums; below it a row holds at most one block of eight.
+_COLUMN_NORMS_BELOW = 16
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=1)`` for real x, bit for bit, without the
     conjugate copy and square that it allocates on the way.
 
-    That norm is the square root of ``np.add.reduce(x * x, axis=1)``.
-    numpy's pairwise summation adds a row of fewer than 8 terms left to
-    right, so below 8 columns the squares are summed column by column in
-    that order: each step is one loop over all rows instead of one d-long
-    loop per row.  From 8 columns on numpy sums in eight interleaved
-    partial sums, and the reduction itself is kept.
+    That norm is the square root of ``np.add.reduce(x * x, axis=1)``, which
+    runs one loop of d elements per row.  Below 16 columns the squares are
+    summed column by column in numpy's pairwise order instead, each step one
+    loop over all rows: a row of fewer than 8 terms left to right; from 8
+    terms on, eight partial sums, here the first eight squares, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest one
+    at a time.  At most four (m,) rows are live.  From 16 columns on numpy's
+    partial sums run over several blocks of eight, and its reduction is kept.
     """
-    d = x.shape[1]
-    if d >= _PAIRWISE_BLOCK:
+    m, d = x.shape
+    if d >= _COLUMN_NORMS_BELOW:
         return np.sqrt(np.add.reduce(x * x, axis=1))
-    total = x[:, 0] * x[:, 0]
-    square = np.empty_like(total)
-    for j in range(1, d):
-        np.multiply(x[:, j], x[:, j], out=square)
-        total += square
+    square = np.empty(m)
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        """The squares of columns lo..hi-1 added left to right, in a fresh row."""
+        total = np.multiply(x[:, lo], x[:, lo])
+        for j in range(lo + 1, hi):
+            total += np.multiply(x[:, j], x[:, j], out=square)
+        return total
+
+    if d < _PAIRWISE_BLOCK:
+        total = run(0, d)
+    else:
+        total = run(0, 2)
+        total += run(2, 4)
+        high = run(4, 6)
+        high += run(6, 8)
+        total += high
+        for j in range(_PAIRWISE_BLOCK, d):
+            total += np.multiply(x[:, j], x[:, j], out=square)
     return np.sqrt(total, out=total)

@@ -8,11 +8,13 @@ import pytest
 
 from conftest import OCTAHEDRON_EXACT, UNIT_SQUARE, random_rotation, regular_ngon
 from test_sampler_fixtures import measure_triples
+from obtri import geometry
 from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
     TriangleClass,
     _coordinate_measures,
+    _lagged_edges,
     classify_batch,
     classify_exact,
     classify_triangle,
@@ -360,6 +362,66 @@ class TestMeasureBatch:
             for x, y in zip(got, want, strict=True):
                 assert x.shape == () and x.dtype == y.dtype
                 assert x.tobytes() == y.tobytes()
+
+
+class TestLaggedEdges:
+    """A C-contiguous block at 4 <= d < 16 takes ``_lagged_edges``: b - a and
+    c - b from one subtraction over its flat buffer, c - a into the third
+    slot.  Every other input takes the vertex path's three subtractions, and
+    both give the same bytes."""
+
+    DIMS = [1, 4, 5, 10, 15, 16, 40]
+
+    @pytest.mark.parametrize("d", [4, 5, 10, 15])
+    def test_edges_equal_vertex_subtractions(self, rng, d):
+        a, b, c = measure_triples(d)
+        tri = np.stack([a, b, c], axis=1) * np.where(rng.random((len(a), 3, d)) < 0.1, -0.0, 1.0)
+        want = (tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0], tri[:, 2] - tri[:, 1])
+        for got, edge in zip(_lagged_edges(tri), want, strict=True):
+            assert got.shape == edge.shape
+            assert got.tobytes() == edge.tobytes()
+        for m in (0, 1, 2):   # the last triple's third slot has no next triple
+            for got, edge in zip(_lagged_edges(tri[:m]), want, strict=True):
+                assert got.tobytes() == edge[:m].tobytes()
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_every_form_gives_the_same_bytes(self, d):
+        a, b, c = (np.resize(x, (4200, d)) for x in measure_triples(d))
+        tri = np.stack([a, b, c], axis=1)
+        want = measure_batch(a, b, c, 1e-12)
+        forms = {
+            "block": measure_batch(tri, tol=1e-12),
+            "F-ordered block": measure_batch(np.asfortranarray(tri), tol=1e-12),
+            # einsum sums a column-major row in another order, so the
+            # kernel writes its edges in C order.
+            "F-ordered vertices": measure_batch(*map(np.asfortranarray, (a, b, c)), 1e-12),
+        }
+        for name, form in forms.items():
+            for got, flat in zip(form, want, strict=True):
+                assert got.tobytes() == flat.tobytes(), name
+        # Every other triple: a strided block, against its vertex form.
+        strided = measure_batch(tri[::2], tol=1e-12)
+        for got, flat in zip(strided, measure_batch(a[::2], b[::2], c[::2], 1e-12), strict=True):
+            assert got.tobytes() == flat.tobytes()
+        # A broadcast vertex, against the block that spells it out.
+        block = np.stack(np.broadcast_arrays(a[7], b, c), axis=1)
+        for got, flat in zip(measure_batch(a[7], b, c, 1e-12), measure_batch(block, tol=1e-12),
+                             strict=True):
+            assert got.tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_only_contiguous_blocks_in_range_take_the_fill(self, monkeypatch, d):
+        calls = []
+        monkeypatch.setattr(geometry, "_lagged_edges",
+                            lambda tri: calls.append(tri.shape) or _lagged_edges(tri))
+        tri = np.random.default_rng(d).standard_normal((64, 3, d))
+        measure_batch(tri, tol=1e-12)
+        assert calls == ([(64, 3, d)] if 4 <= d < 16 else [])
+        for vertex_path in (np.asfortranarray(tri), tri[::2]):
+            measure_batch(vertex_path, tol=1e-12)
+        measure_batch(tri[:, 0], tri[:, 1], tri[:, 2], 1e-12)
+        measure_batch(tri[0, 0], tri[:, 1], tri[:, 2], 1e-12)
+        assert len(calls) == (1 if 4 <= d < 16 else 0)
 
 
 def _wide_rows(rng, shape):

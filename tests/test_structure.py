@@ -21,7 +21,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "obtri"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
-KERNEL_ONLY = ("einsum", "_coordinate_measures", "_triangle_area")
+KERNEL_ONLY = ("einsum", "_coordinate_measures", "_lagged_edges", "_triangle_area")
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
