@@ -124,21 +124,15 @@ def arc_points(u: np.ndarray, radius, base_angle, vx, vy) -> np.ndarray:
     half-angle identity, so coordinates keep full relative precision even
     for tiny arcs.
     """
-    # In place in three buffers: half the arc angle psi = u / radius, then
-    # base_angle + psi/2; 2 radius sin(psi/2); the sine and then the cosine
-    # of that mid angle times it.  vx + (-t) is written vx - t, which IEEE
-    # arithmetic defines as the same operation.
-    mid = np.divide(u, radius)
-    mid *= 0.5
-    two_r_sin = np.sin(mid)
-    two_r_sin *= 2.0 * radius
-    mid += base_angle
-    step = np.sin(mid)
-    step *= two_r_sin
-    out = np.empty((mid.shape[0], 2))
-    np.subtract(vx, step, out=out[:, 0])
-    np.multiply(np.cos(mid, out=mid), two_r_sin, out=step)
-    np.add(vy, step, out=out[:, 1])
+    psi = u / radius
+    half = 0.5 * psi
+    two_r_sin = 2.0 * radius * np.sin(half)
+    mid = base_angle + half
+    dx = -two_r_sin * np.sin(mid)
+    dy = two_r_sin * np.cos(mid)
+    out = np.empty((psi.shape[0], 2))
+    out[:, 0] = vx + dx
+    out[:, 1] = vy + dy
     return out
 
 

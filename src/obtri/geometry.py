@@ -16,8 +16,7 @@ One kernel, ``measure_batch``, computes the codes for every caller.  In R^2
 and R^3 it works on coordinate-major edges, so each pass is a contiguous
 loop over the triples and each dot product is summed in one fixed order on
 every host; from d = 4 on it keeps ``einsum`` on row-major edges, which a
-C-contiguous block below d = 16 fills by one subtraction over its whole
-buffer.
+C-contiguous block fills by one subtraction over its whole buffer.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-12
-
-# Blocks of d = 4 up to this (exclusive) take ``_lagged_edges``.  Its fill is
-# faster at every d, but ``einsum`` reads the slot views, whose rows lie 3d
-# apart, more slowly than separate edge arrays; from d = 16 on a 4,096-row
-# block loses more there than the fill saves.
-_LAGGED_EDGES_BELOW = 16
 
 
 class TriangleClass(str, Enum):
@@ -221,9 +214,9 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     ``tri[:, 2]``) and gives each output that shape back.  In R^2 and R^3
     the rows go to ``_coordinate_measures``; else the edges are the (m, d)
     rows ``b - a``, ``c - a``, ``c - b``, which ``_lagged_edges`` fills from
-    a C-contiguous block at 4 <= d < 16 (a Monte Carlo chunk, the search's
-    gathered block).  Every edge is the same subtraction in both forms, so
-    they return bit-identical results.  Only leading axes broadcast: the
+    a C-contiguous block (a Monte Carlo chunk, the search's gathered block).
+    Every edge is the same subtraction in both forms, so they return
+    bit-identical results.  Only leading axes broadcast: the
     three vertices must have one trailing length d.
 
     Returns ``(codes, min_abs, scale)`` of the leading shape: the int8 class
@@ -267,7 +260,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         # are written in C order whatever the vertices' layout.  The vertex
         # form's rows are already contiguous, and stacking them into a
         # block first would cost more than the fill saves.
-        if tri is not None and 4 <= d < _LAGGED_EDGES_BELOW and tri.flags.c_contiguous:
+        if tri is not None and tri.flags.c_contiguous:
             ab, ac, bc = _lagged_edges(tri)
         else:
             ab, ac, bc = (np.subtract(p, q, order="C") for p, q in ((b, a), (c, a), (c, b)))

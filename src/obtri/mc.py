@@ -32,10 +32,9 @@ cache.  Each block goes to ``classify_batch`` as one C-contiguous
 (_BLOCK, 3, dim) array (its block form), read as three vertex views like
 the vertex form: in R^2 and R^3 their edges go into a coordinate-major
 buffer, so every later pass is a contiguous loop over the block's
-triples; from d = 4 to 15 one subtraction over the block's flat buffer,
-each vertex row minus the one before, writes every b - a and c - b, and
-c - a goes into each triple's third slot; in other dimensions the edges
-are b - a, c - a and c - b, as in the vertex form.
+triples; in other dimensions one subtraction over the block's flat
+buffer, each vertex row minus the one before, writes every b - a and
+c - b, and c - a goes into each triple's third slot.
 A stream draws from the shard's generator in the same order as one whole
 draw, and every element is computed by the same operations, so counts and
 sampled points are bit-identical to unchunked, unblocked evaluation.

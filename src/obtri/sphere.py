@@ -180,9 +180,6 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 # numpy's pairwise summation adds runs shorter than this one term at a time
 # and longer ones in this many interleaved partial sums.
 _PAIRWISE_BLOCK = 8
-# From this many columns on numpy's own reduction is faster than the column
-# sums; below it a row holds at most one block of eight.
-_COLUMN_NORMS_BELOW = 16
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -190,16 +187,20 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     conjugate copy and square that it allocates on the way.
 
     That norm is the square root of ``np.add.reduce(x * x, axis=1)``, which
-    runs one loop of d elements per row.  Below 16 columns the squares are
-    summed column by column in numpy's pairwise order instead, each step one
-    loop over all rows: a row of fewer than 8 terms left to right; from 8
-    terms on, eight partial sums, here the first eight squares, combined as
+    runs one loop of d elements per row.  While a row holds at most one
+    block of eight partial sums (d < 16), the squares are summed column by
+    column in numpy's pairwise order instead, each step one loop over all
+    rows: a row of fewer than 8 terms left to right; from 8 terms on, the
+    eight partial sums, here the first eight squares, combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest one
-    at a time.  At most four (m,) rows are live.  From 16 columns on numpy's
-    partial sums run over several blocks of eight, and its reduction is kept.
+    at a time.  At most four (m,) rows are live.  Longer rows keep numpy's
+    reduction: the column form of its whole order (partial sums over several
+    blocks, halves above 128 terms) is bit-identical too, but each column
+    pass reads a cache line per row, and from d = 32 on it took 1.3 to 5
+    times as long.
     """
     m, d = x.shape
-    if d >= _COLUMN_NORMS_BELOW:
+    if d >= 2 * _PAIRWISE_BLOCK:
         return np.sqrt(np.add.reduce(x * x, axis=1))
     square = np.empty(m)
 

@@ -392,20 +392,6 @@ class TestSelfSimilarSampler:
         assert obtuse > 100 * max(acute, 1e-6)
 
 
-def _arc_points_oracle(u, radius, base_angle, vx, vy):
-    """``arc_points`` as it was written before it was computed in place."""
-    psi = u / radius
-    half = 0.5 * psi
-    two_r_sin = 2.0 * radius * np.sin(half)
-    mid = base_angle + half
-    dx = -two_r_sin * np.sin(mid)
-    dy = two_r_sin * np.cos(mid)
-    out = np.empty((psi.shape[0], 2))
-    out[:, 0] = vx + dx
-    out[:, 1] = vy + dy
-    return out
-
-
 def _cap_points_oracle(sampler, planar, levels):
     """``SelfSimilarSampler._cap_points`` as it was written before it was
     computed in place, with ``np.sinc``."""
@@ -425,27 +411,8 @@ def _cap_points_oracle(sampler, planar, levels):
 
 
 class TestSamplerFormulas:
-    """The samplers' per-point formulas, computed in place, give the bytes of
-    the plain expressions, so every seeded point and count stays as it was."""
-
-    @pytest.mark.parametrize("params", [DEMO, PINNED])
-    def test_arc_points_scalar_parameters(self, rng, params):
-        for arc in arc_triple_geometry(params).arcs.values():
-            h = arc.length / 2
-            u = np.concatenate([[0.0, -0.0, h, -h], (rng.random(5000) - 0.5) * arc.length])
-            got = arc_points(u, arc.radius, arc.base_angle, *arc.vertex)
-            assert got.tobytes() == _arc_points_oracle(u, arc.radius, arc.base_angle, *arc.vertex).tobytes()
-
-    @pytest.mark.parametrize("params", [DEMO, PINNED])
-    def test_arc_points_gathered_parameters(self, rng, params):
-        sampler = ArcTripleSampler(params)
-        which = rng.integers(0, 3, size=5000).astype(np.int8)
-        u = rng.random(5000) - 0.5
-        u[:3] = (0.0, -0.5, 0.5)
-        length, *arcs = sampler._arc_table.take(which, axis=1)
-        want = _arc_points_oracle(u * length, *arcs)
-        assert arc_points(u * length, *arcs).tobytes() == want.tobytes()
-        assert sampler._gathered_points(which, u).tobytes() == want.tobytes()
+    """The cap formula, computed in place, gives the bytes of the plain
+    expressions, so every seeded point and count stays as it was."""
 
     @pytest.mark.parametrize("p", [0.8051875, 0.6])
     def test_cap_points(self, rng, p):

@@ -365,14 +365,14 @@ class TestMeasureBatch:
 
 
 class TestLaggedEdges:
-    """A C-contiguous block at 4 <= d < 16 takes ``_lagged_edges``: b - a and
-    c - b from one subtraction over its flat buffer, c - a into the third
-    slot.  Every other input takes the vertex path's three subtractions, and
-    both give the same bytes."""
+    """A C-contiguous block outside R^2 and R^3 takes ``_lagged_edges``:
+    b - a and c - b from one subtraction over its flat buffer, c - a into the
+    third slot.  Every other input takes the vertex path's three
+    subtractions, and both give the same bytes."""
 
-    DIMS = [1, 4, 5, 10, 15, 16, 40]
+    DIMS = [1, 3, 4, 5, 10, 16, 40]
 
-    @pytest.mark.parametrize("d", [4, 5, 10, 15])
+    @pytest.mark.parametrize("d", [1, 4, 5, 10, 16, 40])
     def test_edges_equal_vertex_subtractions(self, rng, d):
         a, b, c = measure_triples(d)
         tri = np.stack([a, b, c], axis=1) * np.where(rng.random((len(a), 3, d)) < 0.1, -0.0, 1.0)
@@ -410,18 +410,19 @@ class TestLaggedEdges:
             assert got.tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("d", DIMS)
-    def test_only_contiguous_blocks_in_range_take_the_fill(self, monkeypatch, d):
+    def test_only_contiguous_blocks_take_the_fill(self, monkeypatch, d):
         calls = []
         monkeypatch.setattr(geometry, "_lagged_edges",
                             lambda tri: calls.append(tri.shape) or _lagged_edges(tri))
         tri = np.random.default_rng(d).standard_normal((64, 3, d))
         measure_batch(tri, tol=1e-12)
-        assert calls == ([(64, 3, d)] if 4 <= d < 16 else [])
+        fills = d not in (2, 3)
+        assert calls == ([(64, 3, d)] if fills else [])
         for vertex_path in (np.asfortranarray(tri), tri[::2]):
             measure_batch(vertex_path, tol=1e-12)
         measure_batch(tri[:, 0], tri[:, 1], tri[:, 2], 1e-12)
         measure_batch(tri[0, 0], tri[:, 1], tri[:, 2], 1e-12)
-        assert len(calls) == (1 if 4 <= d < 16 else 0)
+        assert len(calls) == fills
 
 
 def _wide_rows(rng, shape):
