@@ -1,7 +1,8 @@
 """Exact lower bounds on the obtuse-triangle probability via counting.
 
-Everything in this module is integer or rational arithmetic; floats appear
-only as derived renderings.  The driving identity is the recursion
+Everything in this module is integer or rational arithmetic; the only floats
+are the conversions in ``LimitBoundResult.summary()``, and writing results
+as text is left to the command line.  The driving identity is the recursion
 
     t_{n+1} = ceil(t_n * (n+1) / (n-2)),
 
@@ -37,8 +38,6 @@ large d).
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
 import os
 import pickle
@@ -142,10 +141,6 @@ class BoundRecord:
     t_n: int
     ratio: Fraction
 
-    @property
-    def ratio_float(self) -> float:
-        return self.ratio.numerator / self.ratio.denominator
-
 
 @dataclass(frozen=True)
 class LimitBoundResult:
@@ -168,8 +163,8 @@ class LimitBoundResult:
             "d": self.d,
             "base_n": self.base_n,
             "n_max": self.n_max,
-            "lower_bound": self.lower_bound.numerator / self.lower_bound.denominator,
-            "upper_envelope": self.upper_envelope.numerator / self.upper_envelope.denominator,
+            "lower_bound": float(self.lower_bound),
+            "upper_envelope": float(self.upper_envelope),
             "asymptotic": float(asymptotic_bound(self.d)),
             "naive": (float(naive_bound(self.d)) if self.d >= 4 else None),
             "monotone": self.monotone,
@@ -337,13 +332,3 @@ def tail_sum(m: int, M: int) -> Fraction:
     # 6/(k(k-1)(k-2)) = 3*[1/((k-1)(k-2)) - 1/(k(k-1))], so the sum telescopes.
     return Fraction(3, (m - 1) * (m - 2)) - Fraction(3, M * (M - 1))
 
-
-def records_to_csv(records: list[BoundRecord] | tuple[BoundRecord, ...]) -> str:
-    """CSV rendering: d, n, t_n, exact ratio numerator/denominator, float ratio."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["d", "n", "t_n", "ratio_exact_num", "ratio_exact_den", "ratio_float"])
-    for rec in records:
-        writer.writerow([rec.d, rec.n, rec.t_n, rec.ratio.numerator, rec.ratio.denominator,
-                         repr(rec.ratio_float)])
-    return buf.getvalue()

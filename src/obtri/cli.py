@@ -35,7 +35,6 @@ from obtri.bounds import (
     limit_bound,
     lower_bounds,
     naive_bound,
-    records_to_csv,
 )
 from obtri.constructions import (
     DistributionSpec,
@@ -105,6 +104,13 @@ def _write(args, result: dict | str) -> None:
             sys.stdout.write("\n")
 
 
+def _csv(rows) -> str:
+    """CSV text of ``rows``: each row's values as ``str`` (a float's shortest
+    round-trip digits), joined by commas, and every line ended by LF.  Nothing
+    is quoted, so no value may hold a comma or a line break."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
@@ -119,21 +125,19 @@ def cmd_bound(args) -> dict | str:
             f"d={args.dim}: lower bound {_fmt6(float(result.lower_bound))}"
             f" (asymptotic {_fmt6(float(asymptotic_bound(args.dim)))})\n")
     if args.format == "csv":
-        return records_to_csv(result.records)
+        return _csv([("d", "n", "t_n", "ratio_exact_num", "ratio_exact_den", "ratio_float"),
+                     *((r.d, r.n, r.t_n, r.ratio.numerator, r.ratio.denominator, float(r.ratio))
+                       for r in result.records)])
     return result.summary()
 
 
 def cmd_table(args) -> str:
     lo, hi = args.dims
     dims = range(lo, hi + 1)
-    lines = ["d,base_n,n_max,lower_bound,asymptotic,naive"]
-    for d, lower in zip(dims, lower_bounds(dims, args.n_max)):
-        naive = repr(float(naive_bound(d))) if d >= 4 else ""
-        lines.append(
-            f"{d},{base_case(d)},{args.n_max},{float(lower)!r},"
-            f"{float(asymptotic_bound(d))!r},{naive}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv([("d", "base_n", "n_max", "lower_bound", "asymptotic", "naive"),
+                 *((d, base_case(d), args.n_max, float(lower), float(asymptotic_bound(d)),
+                    float(naive_bound(d)) if d >= 4 else "")
+                   for d, lower in zip(dims, lower_bounds(dims, args.n_max)))])
 
 
 def cmd_sphere(args) -> dict:
@@ -155,19 +159,15 @@ def cmd_mc(args) -> dict:
     est = estimate(build_sampler(spec), args.samples, args.seed, args.tol,
                    workers=args.workers, spec=args.spec)
     if args.append_csv:
-        row = (f"{spec.kind},{args.samples},{args.seed},{est.p_hat!r},"
-               f"{est.ci95[0]!r},{est.ci95[1]!r}\n")
         with open(args.append_csv, "a", encoding="utf-8") as fh:
-            fh.write(row)
+            fh.write(_csv([(spec.kind, args.samples, args.seed, est.p_hat, *est.ci95)]))
     return est.to_dict()
 
 
 def cmd_fixedpoint(args) -> dict | str:
     if args.scan:
-        lines = ["p,acute,obtuse"]
-        for p, x in fixed_point_scan(args.scan_points):
-            lines.append(f"{p!r},{x!r},{1.0 - x!r}")
-        return "\n".join(lines) + "\n"
+        return _csv([("p", "acute", "obtuse"),
+                     *((p, x, 1.0 - x) for p, x in fixed_point_scan(args.scan_points))])
     opt = maximize_acute()
     if not args.output:
         sys.stderr.write(
@@ -256,7 +256,7 @@ def cmd_replay(args) -> int:
             elif action.type is _dims_range:
                 argv += [flag, _dims_text(value)]
             else:
-                argv += [flag, repr(value) if isinstance(value, float) else str(value)]
+                argv += [flag, str(value)]
         if args.output:
             argv += ["--output", args.output]
         return main(argv)

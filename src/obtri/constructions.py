@@ -49,7 +49,6 @@ probability about 0.3261.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import operator
 from collections.abc import Iterator
@@ -60,8 +59,6 @@ import numpy as np
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
 from obtri.mc import _BLOCK, DEFAULT_SHARD_SIZE, _blockwise, _chunk_bounds, _count_strata, wilson_interval
 from obtri.sphere import sample_sphere, sphere_chunks
-
-logger = logging.getLogger(__name__)
 
 ACUTE_FRACTION_LIMIT = 5.0 / 9.0  # planar construction, small-parameter limit
 
@@ -453,8 +450,6 @@ class SelfSimilarSampler:
         spin = self._LEVEL_SPIN * level
         self._spin_cos, self._spin_sin = np.cos(spin), np.sin(spin)
         self._level_radius = params.rho ** level
-        logger.debug("self-similar sampler: tail mass beyond depth %d is %.3e",
-                     params.max_depth, params.tail_mass)
 
     def _draw_levels(self, rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
         """The levels of n points, their uniforms drawn chunk by chunk of at

@@ -67,13 +67,9 @@ class Configuration:
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinate in configuration")
         # Exact duplicate detection; tolerance-near duplicates are legal.
-        # Adding 0.0 turns -0.0 into 0.0, so the bytes compare as the values do.
-        seen = set()
-        for row in pts + 0.0:
-            key = row.tobytes()
-            if key in seen:
-                raise ValueError("configuration contains two identical points")
-            seen.add(key)
+        # Adding 0.0 turns -0.0 into 0.0, so equal values give equal rows.
+        if len(np.unique(pts + 0.0, axis=0)) < n:
+            raise ValueError("configuration contains two identical points")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -18,7 +18,6 @@ from obtri.bounds import (
     limit_bound,
     lower_bounds,
     naive_bound,
-    records_to_csv,
     recursion_step,
     tail_sum,
 )
@@ -219,13 +218,6 @@ class TestLimitBound:
         res = limit_bound(np.int64(2), np.int64(10 ** 12))
         assert res.lower_bound == limit_bound(2, 10 ** 12).lower_bound
         assert type(res.n_max) is int and type(res.final.t_n) is int
-
-    def test_csv_rendering(self, monkeypatch):
-        monkeypatch.setattr(bounds, "RECORD_COUNT", 5)
-        text = records_to_csv(limit_bound(2, 50).records)
-        lines = text.strip().splitlines()
-        assert lines[0] == "d,n,t_n,ratio_exact_num,ratio_exact_den,ratio_float"
-        assert lines[1].startswith("2,4,1,")
 
 
 def reference_limit_bound(d, n_max, record_count):

@@ -30,6 +30,22 @@ class TestBound:
         assert lines[0].startswith("d,n,t_n,")
         assert lines[-1].startswith("# manifest:")
 
+    def test_csv_file_matches_records(self, tmp_path, capsys):
+        path = tmp_path / "bound.csv"
+        code, _, _ = run(["bound", "--dim", "4", "--n-max", "3000", "--format", "csv",
+                          "--output", str(path)], capsys)
+        assert code == EXIT_OK
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        body, manifest = data.decode().rstrip("\n").rsplit("\n", 1)
+        expected = ["d,n,t_n,ratio_exact_num,ratio_exact_den,ratio_float"]
+        for r in limit_bound(4, 3000).records:
+            num, den = r.ratio.numerator, r.ratio.denominator
+            expected.append(f"{r.d},{r.n},{r.t_n},{num},{den},{num / den!r}")
+        assert body.split("\n") == expected
+        assert manifest.startswith("# manifest: ")
+        assert json.loads(manifest[len("# manifest: "):])["params"]["n_max"] == 3000
+
     def test_bad_dim_usage_error(self, capsys):
         code, _, err = run(["bound", "--dim", "1", "--n-max", "100"], capsys)
         assert code == EXIT_USAGE
@@ -134,10 +150,15 @@ class TestMc:
     def test_csv_append(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "sphere", "params": {"d": 2}})
         sweep = tmp_path / "sweep.csv"
+        expected = b""
         for seed in ("1", "2"):
-            run(["mc", "--spec", spec, "--samples", "2000", "--seed", seed,
-                 "--append-csv", str(sweep)], capsys)
-        assert len(sweep.read_text().strip().splitlines()) == 2
+            code, out, _ = run(["mc", "--spec", spec, "--samples", "2000", "--seed", seed,
+                                "--append-csv", str(sweep)], capsys)
+            assert code == EXIT_OK
+            est = json.loads(out)["result"]
+            lo, hi = est["ci95"]
+            expected += f"sphere,2000,{seed},{est['p_hat']!r},{lo!r},{hi!r}\n".encode()
+        assert sweep.read_bytes() == expected
 
     @pytest.mark.parametrize("spec", [
         {"kind": "sphere", "params": {}},

@@ -6,9 +6,11 @@ process fan-out is ``obtri.bounds.lower_bounds``, which forks a child per
 share of dimensions: no other module forks, and none imports
 ``multiprocessing`` or ``concurrent.futures.process``.  Every triangle is
 measured by the one kernel in ``obtri.geometry``: no other module sums dot
-products with ``einsum`` or reaches the kernel's helpers.  And no module keeps
-an import it does not use (names listed in ``__all__`` count as used, so the
-package's re-exports are allowed).
+products with ``einsum`` or reaches the kernel's helpers.  Text output lives
+in ``obtri.cli``: no other module names ``stdout``, ``stderr``, ``csv`` or
+``logging``, so the library returns values and the command writes them.  And
+no module keeps an import it does not use (names listed in ``__all__`` count
+as used, so the package's re-exports are allowed).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "obtri"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
 KERNEL_ONLY = ("einsum", "_coordinate_measures", "_lagged_edges", "_triangle_area")
+TEXT_OUTPUT_ONLY = ("stdout", "stderr", "csv", "logging")
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -76,6 +79,12 @@ def test_shard_engine_names_only_in_mc(name):
 def test_triangle_kernel_names_only_in_geometry(name):
     holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
     assert holders == ["geometry.py"]
+
+
+@pytest.mark.parametrize("name", TEXT_OUTPUT_ONLY)
+def test_text_output_names_only_in_cli(name):
+    holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
+    assert set(holders) <= {"cli.py"}, holders
 
 
 def test_fork_only_in_bounds():
