@@ -89,19 +89,18 @@ def _resolve_seed(seed: int | None) -> int:
 
 def _write(args, result: dict | str) -> None:
     """Write a command's result with its manifest: JSON results as a
-    ``{"manifest", "result"}`` document, CSV text with a trailing manifest line."""
+    ``{"manifest", "result"}`` document, CSV text with a trailing manifest line.
+    Either text ends in LF, on stdout and in an ``--output`` file alike."""
     manifest = _manifest(args)
     if isinstance(result, str):
         text = f"{result}{MANIFEST_PREFIX}{json.dumps(manifest)}\n"
     else:
-        text = json.dumps({"manifest": manifest, "result": result}, indent=2)
+        text = json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _csv(rows) -> str:

@@ -21,7 +21,6 @@ C-contiguous block fills by one subtraction over its whole buffer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,19 +78,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "points": self.points.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Configuration":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or not {"dim", "points"} <= obj.keys():
-            raise ValueError("configuration JSON needs 'dim' and 'points' fields")
-        pts = np.asarray(obj["points"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != obj["dim"]:
-            raise ValueError("configuration JSON: points do not match declared dim")
-        return cls(points=pts)
 
 
 def _triangle_area(l_ab: np.ndarray, l_ac: np.ndarray, l_bc: np.ndarray) -> np.ndarray:
@@ -383,12 +369,3 @@ def classify_exact(a: Iterable, b: Iterable, c: Iterable) -> TriangleClass:
         return TriangleClass.OBTUSE
     return TriangleClass.ACUTE
 
-
-def save_configuration(config: Configuration, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config.to_json())
-
-
-def load_configuration(path: str) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Configuration.from_json(fh.read())

@@ -27,12 +27,22 @@ quadrature's tolerance, so a single adaptive Gauss-Kronrod pass over
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
 
 from obtri.mc import _blockwise, _chunk_bounds
 from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma_half_ratio
+
+
+def _dimension(d: int) -> int:
+    """d as an int, checked to be a sphere's dimension (>= 2); a float d is
+    refused, not truncated."""
+    d = operator.index(d)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return d
 
 
 def _three_caps(theta: float, d: int, lbeta: float) -> float:
@@ -49,29 +59,19 @@ def _three_caps(theta: float, d: int, lbeta: float) -> float:
 
 def obtuse_given_angle(theta: float, d: int) -> float:
     """Three-cap probability that the third point makes the triangle obtuse."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     if not (0.0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
     return _three_caps(theta, d, _log_sin_power_norm(d))
-
-
-def sin_power_norm(d: int) -> float:
-    """Normalizer of the angle density: integral of sin^{d-2} over (0, pi).
-
-    Wallis closed form sqrt(pi) * Gamma((d-1)/2) / Gamma(d/2).
-    """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return math.exp(_log_sin_power_norm(d))
 
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 
 
 def _log_sin_power_norm(d: int) -> float:
-    """log of ``sin_power_norm(d)``, which is also log B((d-1)/2, 1/2), the
-    caps' incomplete-beta normalizer.
+    """log of the angle density's normalizer, the integral of sin^{d-2} over
+    (0, pi): by Wallis sqrt(pi) Gamma((d-1)/2) / Gamma(d/2), which is also
+    B((d-1)/2, 1/2), the caps' incomplete-beta normalizer.
 
     Taken as log Gamma(1/2) minus ``log_gamma_half_ratio``: a difference of
     two log-gammas of about a log a each would lose up to 1.7e-12 absolute
@@ -87,8 +87,7 @@ def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
     ``laplace_sphere(d)`` sets (capped at 1), so small high-dimension
     probabilities come back with full relative accuracy.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     lbeta = _log_sin_power_norm(d)
     p = d - 2
 
@@ -115,15 +114,13 @@ def laplace_sphere(d: int) -> float:
     pi - theta* (sin cap, half the weight); expanding both peaks gives this
     leading term, which the quadrature approaches with relative error O(1/d).
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     return _LAPLACE_CONSTANT * math.exp(d * math.log(_LAPLACE_BASE) - 0.5 * math.log(d))
 
 
 def asymptotic_sphere(d: int) -> float:
     """Plug-in value at theta = pi/2: (3/2) * I_{1/2}((d-1)/2, 1/2)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     return 1.5 * betainc(0.5, (d - 1) / 2.0, 0.5, _log_sin_power_norm(d))
 
 
@@ -151,8 +148,7 @@ def sphere_chunks(d: int, rng: np.random.Generator, n: int, rows: int) -> Iterat
     differ from one whole draw, which redraws after all n rows; a standard
     normal is exactly 0.0 with probability about 2^-52.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     bounds = _chunk_bounds(n, rows)
     buf = np.empty((rows, d)) if rows < n else None
     for lo, hi in bounds:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -57,6 +58,21 @@ class TestBound:
                           "--output", str(path)], capsys)
         assert code == EXIT_OK
         assert json.loads(path.read_text())["result"]["base_n"] == 4
+
+    def test_file_output_equals_stdout(self, tmp_path, capsys):
+        # The same bytes, final LF included, whichever destination is named;
+        # only the manifest's timestamp may differ.
+        argv = ["bound", "--dim", "3", "--n-max", "1000"]
+        path = tmp_path / "f.json"
+        assert run([*argv, "--output", str(path)], capsys)[:2] == (EXIT_OK, "")
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+
+        def masked(data: bytes) -> bytes:
+            return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+
+        assert masked(path.read_bytes()) == masked(out.encode())
+        assert out.endswith("}\n")
 
 
 class TestTable:

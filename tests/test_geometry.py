@@ -20,9 +20,7 @@ from obtri.geometry import (
     classify_triangle,
     count_classes,
     count_nonacute,
-    load_configuration,
     measure_batch,
-    save_configuration,
 )
 
 A = TriangleClass.ACUTE
@@ -215,15 +213,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration(points=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
-    def test_json_roundtrip(self, tmp_path, rng):
-        pts = rng.standard_normal((6, 3))
-        config = Configuration(points=pts)
-        path = tmp_path / "config.json"
-        save_configuration(config, str(path))
-        loaded = load_configuration(str(path))
-        assert loaded.dim == 3 and loaded.n == 6
-        assert np.array_equal(loaded.points, config.points)
-
     def test_signed_zeros_are_one_point(self):
         # 0.0 == -0.0, so (0, 0) and (-0, 0) are the same point even though
         # their bytes differ.
@@ -231,15 +220,6 @@ class TestConfiguration:
             Configuration(points=np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match="identical"):
             Configuration(points=np.array([[1.0, -0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
-
-    def test_json_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            Configuration.from_json('{"dim": 3, "points": [[0,0],[1,0],[0,1]]}')
-
-    @pytest.mark.parametrize("text", ['{"points": [[0,0],[1,0],[0,1]]}', '{"dim": 2}', '[]', '3'])
-    def test_json_without_dim_or_points(self, text):
-        with pytest.raises(ValueError, match="needs 'dim' and 'points'"):
-            Configuration.from_json(text)
 
 
 class TestThinTriangleRobustness:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -327,3 +328,23 @@ class TestIncrementalMatchesFullRecompute:
         # count alone or on a margin tie.
         params = SearchParams(n=n, d=d, mode=mode, seed=seed, iterations=iterations, restarts=restarts)
         assert search_min(params).to_dict() == search_min_full_recompute(params).to_dict()
+
+
+class TestBenchmarkSearchesPinned:
+    """The benchmark's two searches (perfbench's probe workload at its
+    default seed), pinned bit for bit.  The full-recompute comparison above
+    shares ``measure_batch`` with the search, so only a pin catches a change
+    in the kernel's bits."""
+
+    @pytest.mark.parametrize("n, iterations, seed, best_count, margin, digest", [
+        (7, 2000, 3717377837946358015, 17, "0x1.fe594ed1341a1p-8",
+         "2ab94c6b7ae4302308fbe48ee80857abdccc7f251fdac6e2b1c25acc4863dc45"),
+        (20, 1500, 5003726031808922518, 677, "0x1.5684f19fb7453p-16",
+         "c935cbf634fec71c39c62c1bf5f0522fb4f74b532e77566751b20674e1990017"),
+    ])
+    def test_pinned(self, n, iterations, seed, best_count, margin, digest):
+        result = search_min(SearchParams(n=n, d=2, iterations=iterations, restarts=1, seed=seed))
+        assert result.best_count == best_count
+        assert result.per_restart == (best_count,)
+        assert result.margin.hex() == margin
+        assert hashlib.sha256(result.best.points.tobytes()).hexdigest() == digest

@@ -14,7 +14,6 @@ from obtri.sphere import (
     obtuse_given_angle,
     obtuse_prob_sphere,
     sample_sphere,
-    sin_power_norm,
 )
 
 
@@ -45,6 +44,32 @@ class TestObtuseGivenAngle:
             obtuse_given_angle(0.0, 3)
         with pytest.raises(ValueError):
             obtuse_given_angle(1.0, 1)
+
+
+# The integral of sin^{d-2} over (0, pi), the angle density's normalizer.
+def sin_power_norm(d):
+    return math.exp(sphere._log_sin_power_norm(d))
+
+
+# Every public entry point of the module that takes a dimension.
+DIMENSION_ENTRY_POINTS = {
+    "obtuse_given_angle": lambda d: obtuse_given_angle(1.0, d),
+    "obtuse_prob_sphere": obtuse_prob_sphere,
+    "laplace_sphere": laplace_sphere,
+    "asymptotic_sphere": asymptotic_sphere,
+    "sample_sphere": lambda d: sample_sphere(d, np.random.default_rng(0)),
+    "sphere_chunks": lambda d: next(sphere.sphere_chunks(d, np.random.default_rng(0), 4, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", DIMENSION_ENTRY_POINTS.values(), ids=DIMENSION_ENTRY_POINTS)
+def test_dimension_must_be_an_integer_from_two(entry):
+    for d in (3.5, 3.0):
+        with pytest.raises(TypeError):
+            entry(d)
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        entry(1)
+    entry(np.int64(3))  # an integer-like dimension is accepted
 
 
 class TestSinPowerNorm:

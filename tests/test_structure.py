@@ -8,19 +8,23 @@ share of dimensions: no other module forks, and none imports
 measured by the one kernel in ``obtri.geometry``: no other module sums dot
 products with ``einsum`` or reaches the kernel's helpers.  Text output lives
 in ``obtri.cli``: no other module names ``stdout``, ``stderr``, ``csv`` or
-``logging``, so the library returns values and the command writes them.  And
-no module keeps an import it does not use (names listed in ``__all__`` count
-as used, so the package's re-exports are allowed).
+``logging``, so the library returns values and the command writes them.  No
+module keeps an import it does not use (names listed in ``__all__`` count
+as used, so the package's re-exports are allowed).  And every public
+top-level function or class has a caller: its own module uses it, another
+module names it, ``obtri.__all__`` lists it or README.md documents it.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "obtri"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "obtri"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
 KERNEL_ONLY = ("einsum", "_coordinate_measures", "_lagged_edges", "_triangle_area")
@@ -59,14 +63,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Names read anywhere in the module, plus the strings listed in ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _listed_in_all(tree: ast.Module) -> set[str]:
+    """The strings listed in the module's ``__all__``."""
+    listed = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(elt.value for elt in node.value.elts)
-    return used
+            listed.update(elt.value for elt in node.value.elts)
+    return listed
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus the strings listed in ``__all__``."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _listed_in_all(tree)
 
 
 @pytest.mark.parametrize("name", ENGINE_ONLY)
@@ -113,3 +122,19 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_public_helper_has_a_caller():
+    trees = {p.name: _tree(p) for p in MODULES}
+    documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    exported = _listed_in_all(trees["__init__.py"])
+    uncalled = []
+    for module, tree in trees.items():
+        called = _used(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        called |= exported | documented
+        called = called.union(*(_identifiers(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in called):
+                uncalled.append(f"{module[:-3]}.{node.name}")
+    assert not uncalled, f"public helpers without a caller: {uncalled}"
