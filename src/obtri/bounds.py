@@ -64,11 +64,19 @@ RECORD_COUNT = 200
 DIGIT_BOUND = 1 << sys.int_info.bits_per_digit
 
 
+def _int_at_least(name: str, value: int, low: int) -> int:
+    """``value`` as a Python int of at least ``low``, the one check of every
+    count and dimension: a numpy integer becomes an int, so exact arithmetic
+    on it cannot wrap; a float raises TypeError and a smaller value ValueError."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def base_case(d: int) -> int:
     """Recursion start N_d: 4 for d=2, 6 for d=3, 2^d for d >= 4."""
-    d = operator.index(d)  # a float d is refused, not turned into a float count
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _int_at_least("dimension", d, 2)
     if d == 2:
         return BASE_2D
     if d == 3:
@@ -94,10 +102,7 @@ def recursion_step(t: int, n: int) -> int:
 
     Pure integer arithmetic (ceiling division); no floating point.
     """
-    if n <= 2:
-        raise ValueError(f"recursion_step needs n >= 3, got {n}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t, n = _int_at_least("t", t, 0), _int_at_least("n", n, 3)
     num = t * (n + 1)
     den = n - 2
     return -(-num // den)
@@ -105,8 +110,7 @@ def recursion_step(t: int, n: int) -> int:
 
 def closed_form_2d(n: int) -> int:
     """Minimum obtuse-triangle count among n planar points: (C(n,3) - floor(n/3)) / 3."""
-    if n < 4:
-        raise ValueError(f"closed_form_2d needs n >= 4, got {n}")
+    n = _int_at_least("n", n, BASE_2D)
     num = binom3(n) - n // 3
     q, r = divmod(num, 3)
     if r != 0:
@@ -116,8 +120,7 @@ def closed_form_2d(n: int) -> int:
 
 def closed_form_3d(n: int) -> int:
     """Minimum obtuse-triangle count among n points in R^3: (C(n,3) - 2n + k) / 11."""
-    if n < 6:
-        raise ValueError(f"closed_form_3d needs n >= 6, got {n}")
+    n = _int_at_least("n", n, BASE_3D)
     num = binom3(n) - 2 * n + K_TABLE[n % 11]
     q, r = divmod(num, 11)
     if r != 0:
@@ -312,23 +315,19 @@ def asymptotic_bound(d: int) -> Fraction:
     """3 / ((2^d - 1)(2^d - 2)), the sum of 1/C(k,3) over k >= 2^d: a
     ceiling on the recursion's ratio from the base case 2^d, not its limit
     (see the module docstring)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    m = 2 ** d
+    m = 2 ** _int_at_least("dimension", d, 2)
     return Fraction(3, (m - 1) * (m - 2))
 
 
 def naive_bound(d: int) -> Fraction:
     """Single-group bound 1 / C(2^d, 3) for d >= 4."""
-    if d < 4:
-        raise ValueError(f"naive_bound is defined for d >= 4, got {d}")
-    return Fraction(1, binom3(2 ** d))
+    return Fraction(1, binom3(2 ** _int_at_least("dimension", d, 4)))
 
 
 def tail_sum(m: int, M: int) -> Fraction:
     """Exact partial sum of 6 / (k(k-1)(k-2)) for k = m..M (telescoping check)."""
-    if m < 3 or M < m:
-        raise ValueError(f"need 3 <= m <= M, got m={m}, M={M}")
+    m = _int_at_least("m", m, 3)
+    M = _int_at_least("M", M, m)
     # 6/(k(k-1)(k-2)) = 3*[1/((k-1)(k-2)) - 1/(k(k-1))], so the sum telescopes.
     return Fraction(3, (m - 1) * (m - 2)) - Fraction(3, M * (M - 1))
 

@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 
 from obtri import __version__
 from obtri.bounds import (
+    _int_at_least,
     asymptotic_bound,
     base_case,
     limit_bound,
@@ -140,6 +141,7 @@ def cmd_table(args) -> str:
 
 
 def cmd_sphere(args) -> dict:
+    _int_at_least("workers", args.workers, 1)  # before the quadrature, which ignores it
     result = {"d": args.dim, "quadrature": obtuse_prob_sphere(args.dim, args.tol),
               "asymptotic": asymptotic_sphere(args.dim), "mc": None}
     if args.mc_samples:

@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from obtri.bounds import _int_at_least
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
 from obtri.mc import _BLOCK, DEFAULT_SHARD_SIZE, _blockwise, _chunk_bounds, _count_strata, wilson_interval
 from obtri.sphere import sample_sphere, sphere_chunks
@@ -211,18 +211,22 @@ class ArcTripleSampler:
         taken chunk by chunk, which gives the values of one whole draw, so
         no array of n draws is allocated.  Every chunk of points is written
         into one buffer (with one chunk, the result), so a chunk is valid
-        until the next is requested.
+        until the next is requested.  Arguments are checked at the call.
         """
         bounds = _chunk_bounds(n, rows)
-        which = np.empty(n, dtype=np.int8)
-        for lo, hi in bounds:
-            which[lo:hi] = rng.integers(0, 3, size=hi - lo)
-        u = np.empty(min(rows, n))
-        out = np.empty((min(rows, n), 2))
-        for lo, hi in bounds:
-            offsets = rng.random(out=u[:hi - lo])
-            offsets -= 0.5
-            yield _blockwise(self._gathered_points, out[:hi - lo], which[lo:hi], offsets)
+
+        def stream() -> Iterator[np.ndarray]:
+            which = np.empty(n, dtype=np.int8)
+            for lo, hi in bounds:
+                which[lo:hi] = rng.integers(0, 3, size=hi - lo)
+            u = np.empty(min(rows, n))
+            out = np.empty((min(rows, n), 2))
+            for lo, hi in bounds:
+                offsets = rng.random(out=u[:hi - lo])
+                offsets -= 0.5
+                yield _blockwise(self._gathered_points, out[:hi - lo], which[lo:hi], offsets)
+
+        return stream()
 
     def _gathered_points(self, which: np.ndarray, u: np.ndarray) -> np.ndarray:
         length, radius, base_angle, vx, vy = self._arc_table.take(which, axis=1)
@@ -294,8 +298,7 @@ def arc_triple_pattern_report(params: ArcTripleParams, samples_per_pattern: int,
     estimate of the overall acute/obtuse probability (stratification by
     pattern removes the multinomial noise of arc choice).
     """
-    if samples_per_pattern < 1:
-        raise ValueError(f"samples_per_pattern must be >= 1, got {samples_per_pattern}")
+    samples_per_pattern = _int_at_least("samples_per_pattern", samples_per_pattern, 1)
     sampler = ArcTripleSampler(params)
 
     def draw(rng, shard, n, count):  # shard i is pattern i, stratum i
@@ -413,8 +416,7 @@ class SelfSimilarParams:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
         if not (0.0 < self.cap_half_angle < math.pi / 4.0):
             raise ValueError(f"cap_half_angle must lie in (0, pi/4), got {self.cap_half_angle!r}")
-        if operator.index(self.max_depth) < 0:  # a float depth would fail mid-sampling
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        object.__setattr__(self, "max_depth", _int_at_least("max_depth", self.max_depth, 0))
         if self.rho ** self.max_depth < 1e-150:
             raise ValueError("rho**max_depth underflows the classifier; raise rho or lower max_depth")
 
@@ -533,13 +535,18 @@ class SelfSimilarSampler:
         (``ArcTripleSampler.sample_chunks``), all taken chunk by chunk.  The
         levels of all n points are kept; every chunk of points is written
         into one buffer (with one chunk, the result), so a chunk is valid
-        until the next is requested.
+        until the next is requested.  Arguments are checked at the call.
         """
-        levels = self._draw_levels(rng, n, rows)
-        out = np.empty((min(rows, n), 3))
-        planar_chunks = self._arc_sampler.sample_chunks(rng, n, rows)
-        for (lo, hi), planar in zip(_chunk_bounds(n, rows), planar_chunks):
-            yield _blockwise(self._cap_points, out[:hi - lo], planar, levels[lo:hi]), levels[lo:hi]
+        bounds = _chunk_bounds(n, rows)
+
+        def stream() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            levels = self._draw_levels(rng, n, rows)
+            out = np.empty((min(rows, n), 3))
+            planar_chunks = self._arc_sampler.sample_chunks(rng, n, rows)
+            for (lo, hi), planar in zip(bounds, planar_chunks):
+                yield _blockwise(self._cap_points, out[:hi - lo], planar, levels[lo:hi]), levels[lo:hi]
+
+        return stream()
 
 
 def _category_weights(params: SelfSimilarParams) -> np.ndarray:
@@ -648,10 +655,7 @@ class SphereSampler:
     """Uniform distribution on the unit sphere S^{d-1}."""
 
     def __init__(self, d: int):
-        d = operator.index(d)  # a float d is refused, not truncated
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
-        self.d = d
+        self.d = _int_at_least("dimension", d, 2)
 
     @property
     def dim(self) -> int:
@@ -759,7 +763,10 @@ def build_sampler(spec: DistributionSpec):
             for entry in params["components"]:
                 sub = DistributionSpec(kind=entry["spec"]["kind"],
                                        params=entry["spec"].get("params", {}))
-                comps.append((float(entry["weight"]), build_sampler(sub)))
+                weight = entry["weight"]
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise TypeError(f"a mixture weight must be a number, got {weight!r}")
+                comps.append((float(weight), build_sampler(sub)))
             return MixtureSampler(comps)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid {kind} spec params ({type(exc).__name__}: {exc})") from exc

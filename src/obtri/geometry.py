@@ -29,6 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from obtri.bounds import _int_at_least
+
 DEFAULT_TOL = 1e-12
 
 
@@ -61,8 +63,7 @@ class Configuration:
         n, d = pts.shape
         if n < 3:
             raise ValueError(f"a configuration needs at least 3 points, got {n}")
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _int_at_least("dimension", d, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinate in configuration")
         # Exact duplicate detection; tolerance-near duplicates are legal.

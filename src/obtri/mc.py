@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from obtri.bounds import _int_at_least
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts, classify_batch
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -80,8 +81,7 @@ def _blockwise(fn, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
 def _chunk_bounds(n: int, rows: int) -> list[tuple[int, int]]:
     """(lo, hi) of the consecutive chunks of at most ``rows`` of n rows; one
     (0, 0) chunk when n is 0, so that a one-chunk stream yields its chunk."""
-    if rows < 1:
-        raise ValueError(f"chunk rows must be >= 1, got {rows}")
+    n, rows = _int_at_least("n", n, 0), _int_at_least("chunk rows", rows, 1)
     return [(lo, min(lo + rows, n)) for lo in range(0, max(n, 1), rows)]
 
 
@@ -102,8 +102,7 @@ class SeedPolicy:
     shard_size: int = DEFAULT_SHARD_SIZE
 
     def __post_init__(self):
-        if self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+        object.__setattr__(self, "shard_size", _int_at_least("shard_size", self.shard_size, 1))
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master seed must fit in 64 bits")
 
@@ -118,9 +117,8 @@ _Z95 = 1.9599639845400538
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (0 <= successes <= trials):
+    trials, successes = _int_at_least("trials", trials, 1), _int_at_least("successes", successes, 0)
+    if successes > trials:
         raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
     z = _Z95
     n = float(trials)
@@ -165,11 +163,9 @@ def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: flo
                   shard_size: int, workers: int = 1) -> np.ndarray:
     """The ``strata x 4`` class counts of ``samples`` triples from ``draw``
     (see the module docstring for the contract)."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    samples, workers = _int_at_least("samples", samples, 1), _int_at_least("workers", workers, 1)
     policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
+    shard_size = policy.shard_size
     n_shards = (samples + shard_size - 1) // shard_size
 
     def classify(tri: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from obtri.bounds import base_case, closed_form
+from obtri.bounds import _int_at_least, base_case, closed_form
 from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
@@ -62,14 +62,10 @@ class SearchParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+        for name, low in (("n", 3), ("d", 2), ("iterations", 1), ("restarts", 1)):
+            object.__setattr__(self, name, _int_at_least(name, getattr(self, name), low))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be >= 1")
         SeedPolicy(master_seed=self.seed)  # the Monte Carlo engine's seed check
 
     def to_dict(self) -> dict:

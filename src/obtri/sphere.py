@@ -27,22 +27,13 @@ quadrature's tolerance, so a single adaptive Gauss-Kronrod pass over
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
+from obtri.bounds import _int_at_least
 from obtri.mc import _blockwise, _chunk_bounds
 from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma_half_ratio
-
-
-def _dimension(d: int) -> int:
-    """d as an int, checked to be a sphere's dimension (>= 2); a float d is
-    refused, not truncated."""
-    d = operator.index(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return d
 
 
 def _three_caps(theta: float, d: int, lbeta: float) -> float:
@@ -59,7 +50,7 @@ def _three_caps(theta: float, d: int, lbeta: float) -> float:
 
 def obtuse_given_angle(theta: float, d: int) -> float:
     """Three-cap probability that the third point makes the triangle obtuse."""
-    d = _dimension(d)
+    d = _int_at_least("dimension", d, 2)
     if not (0.0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
     return _three_caps(theta, d, _log_sin_power_norm(d))
@@ -87,7 +78,7 @@ def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
     ``laplace_sphere(d)`` sets (capped at 1), so small high-dimension
     probabilities come back with full relative accuracy.
     """
-    d = _dimension(d)
+    d = _int_at_least("dimension", d, 2)
     lbeta = _log_sin_power_norm(d)
     p = d - 2
 
@@ -114,13 +105,13 @@ def laplace_sphere(d: int) -> float:
     pi - theta* (sin cap, half the weight); expanding both peaks gives this
     leading term, which the quadrature approaches with relative error O(1/d).
     """
-    d = _dimension(d)
+    d = _int_at_least("dimension", d, 2)
     return _LAPLACE_CONSTANT * math.exp(d * math.log(_LAPLACE_BASE) - 0.5 * math.log(d))
 
 
 def asymptotic_sphere(d: int) -> float:
     """Plug-in value at theta = pi/2: (3/2) * I_{1/2}((d-1)/2, 1/2)."""
-    d = _dimension(d)
+    d = _int_at_least("dimension", d, 2)
     return 1.5 * betainc(0.5, (d - 1) / 2.0, 0.5, _log_sin_power_norm(d))
 
 
@@ -131,8 +122,7 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     Normalized standard normal deviates, drawn as one (n, d) array; the
     measure-zero zero-norm draw is redrawn once all n are drawn.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _int_at_least("n", n, 1)
     return next(sphere_chunks(d, rng, n, n))
 
 
@@ -146,21 +136,26 @@ def sphere_chunks(d: int, rng: np.random.Generator, n: int, rows: int) -> Iterat
     requested.  A chunk redraws its rows of zero norm, in row order until
     none is zero, before the next chunk is drawn.  Only that makes a stream
     differ from one whole draw, which redraws after all n rows; a standard
-    normal is exactly 0.0 with probability about 2^-52.
+    normal is exactly 0.0 with probability about 2^-52.  Arguments are
+    checked at the call.
     """
-    d = _dimension(d)
+    d = _int_at_least("dimension", d, 2)
     bounds = _chunk_bounds(n, rows)
-    buf = np.empty((rows, d)) if rows < n else None
-    for lo, hi in bounds:
-        m = hi - lo
-        pts = rng.standard_normal((m, d)) if buf is None else rng.standard_normal(out=buf[:m])
-        bad = np.flatnonzero(_blockwise(_normalize, np.empty(m, dtype=bool), pts))
-        while bad.size:
-            redraw = rng.standard_normal((bad.size, d))
-            zero = _normalize(redraw)
-            pts[bad] = redraw
-            bad = bad[zero]
-        yield pts
+
+    def stream() -> Iterator[np.ndarray]:
+        buf = np.empty((rows, d)) if rows < n else None
+        for lo, hi in bounds:
+            m = hi - lo
+            pts = rng.standard_normal((m, d)) if buf is None else rng.standard_normal(out=buf[:m])
+            bad = np.flatnonzero(_blockwise(_normalize, np.empty(m, dtype=bool), pts))
+            while bad.size:
+                redraw = rng.standard_normal((bad.size, d))
+                zero = _normalize(redraw)
+                pts[bad] = redraw
+                bad = bad[zero]
+            yield pts
+
+    return stream()
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:

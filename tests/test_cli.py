@@ -131,6 +131,17 @@ class TestSphere:
         mc = payload["result"]["mc"]
         assert abs(mc["p_hat"] - 0.75) < 0.02
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_is_usage_error(self, workers, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("the quadrature ran before --workers was checked")
+
+        monkeypatch.setattr("obtri.cli.obtuse_prob_sphere", no_quadrature)
+        code, out, err = run(["sphere", "--dim", "3", "--workers", workers], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert out == ""
+
     def test_entropy_seed_recorded(self, capsys):
         code, out, _ = run(["sphere", "--dim", "2", "--mc-samples", "1000"], capsys)
         payload = json.loads(out)
@@ -185,9 +196,13 @@ class TestMc:
         {"kind": "mixture", "params": {"components": [{"weight": 1.0}]}},
         {"kind": "self_similar", "params": {"p": 0.8, "arc": {"alpha": 0.0068}}},
         {"kind": "self_similar", "params": {"p": 0.8, "max_depth": 3.5}},
+        *({"kind": "mixture", "params": {"components": [
+            {"weight": weight, "spec": {"kind": "sphere", "params": {"d": 2}}}]}}
+          for weight in ("0.5", "x", True)),
     ], ids=["sphere-without-d", "sphere-float-d", "params-not-object", "unknown-param",
             "arc-triple-partial", "mixture-without-spec", "self-similar-partial-arc",
-            "self-similar-float-depth"])
+            "self-similar-float-depth", "mixture-numeric-text-weight", "mixture-text-weight",
+            "mixture-bool-weight"])
     def test_malformed_spec_is_usage_error(self, tmp_path, capsys, spec):
         code, out, err = run(["mc", "--spec", self.write_spec(tmp_path, spec),
                               "--samples", "10", "--seed", "1"], capsys)

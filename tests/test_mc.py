@@ -291,7 +291,7 @@ class TestChunkedDraws:
         for sampler in (SphereSampler(3), ArcTripleSampler(ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)),
                         SelfSimilarSampler(SelfSimilarParams(p=0.5))):
             with pytest.raises(ValueError, match="chunk rows"):
-                next(sampler.sample_chunks(shard_rng(), 10, rows))
+                sampler.sample_chunks(shard_rng(), 10, rows)
 
     def test_sample_with_consume_streams_the_same_points(self):
         # ``sample(rng, n, consume=f)`` hands ``f`` the chunks of

@@ -58,7 +58,7 @@ DIMENSION_ENTRY_POINTS = {
     "laplace_sphere": laplace_sphere,
     "asymptotic_sphere": asymptotic_sphere,
     "sample_sphere": lambda d: sample_sphere(d, np.random.default_rng(0)),
-    "sphere_chunks": lambda d: next(sphere.sphere_chunks(d, np.random.default_rng(0), 4, 2)),
+    "sphere_chunks": lambda d: sphere.sphere_chunks(d, np.random.default_rng(0), 4, 2),
 }
 
 
@@ -281,9 +281,9 @@ class TestSampleSphere:
 
     def test_chunks_validate(self, rng):
         with pytest.raises(ValueError, match="dimension"):
-            next(sphere.sphere_chunks(1, rng, 10, 5))
+            sphere.sphere_chunks(1, rng, 10, 5)
         with pytest.raises(ValueError, match="chunk rows"):
-            next(sphere.sphere_chunks(3, rng, 10, 0))
+            sphere.sphere_chunks(3, rng, 10, 0)
 
     def test_zero_rows_are_redrawn_inside_their_chunk(self):
         # Zero rows in chunks 0 and 2, and the earlier one's first redraw is

@@ -8,7 +8,9 @@ share of dimensions: no other module forks, and none imports
 measured by the one kernel in ``obtri.geometry``: no other module sums dot
 products with ``einsum`` or reaches the kernel's helpers.  Text output lives
 in ``obtri.cli``: no other module names ``stdout``, ``stderr``, ``csv`` or
-``logging``, so the library returns values and the command writes them.  No
+``logging``, so the library returns values and the command writes them.
+Every count and dimension is checked by ``obtri.bounds._int_at_least``: no
+other module imports ``operator``, so ``operator.index`` has one home.  No
 module keeps an import it does not use (names listed in ``__all__`` count
 as used, so the package's re-exports are allowed).  And every public
 top-level function or class has a caller: its own module uses it, another
@@ -94,6 +96,11 @@ def test_triangle_kernel_names_only_in_geometry(name):
 def test_text_output_names_only_in_cli(name):
     holders = [p.name for p in MODULES if name in _identifiers(_tree(p))]
     assert set(holders) <= {"cli.py"}, holders
+
+
+def test_operator_imported_only_in_bounds():
+    holders = [p.name for p in MODULES if "operator" in _imported(_tree(p))]
+    assert holders == ["bounds.py"]
 
 
 def test_fork_only_in_bounds():
