@@ -57,7 +57,8 @@ import numpy as np
 
 from obtri.bounds import _int_at_least
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
-from obtri.mc import _BLOCK, DEFAULT_SHARD_SIZE, _blockwise, _chunk_bounds, _count_strata, wilson_interval
+from obtri.mc import (_BLOCK, DEFAULT_SHARD_SIZE, SeedPolicy, _blockwise, _chunk_bounds, _count_strata,
+                      wilson_interval)
 from obtri.sphere import sample_sphere, sphere_chunks
 
 ACUTE_FRACTION_LIMIT = 5.0 / 9.0  # planar construction, small-parameter limit
@@ -597,8 +598,11 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     coordinate-level roundoff (~2e-16 relative) and below every geometric
     margin the accounting relies on: sub-roundoff cases land in the Right
     class instead of flipping randomly between acute and obtuse, which keeps
-    the obtuse fraction clean.
+    the obtuse fraction clean.  ``samples`` and ``seed`` go into the report
+    as the checked Python ints.
     """
+    samples = _int_at_least("samples", samples, 1)
+    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     sampler = SelfSimilarSampler(params)
 
     def stratified(chunks):  # stratum: points at the shallowest level, minus one
@@ -613,7 +617,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
         sampler.sample_with_levels(rng, 3 * n, consume=lambda chunks: count(stratified(chunks)))
 
     # Rows: shallow count 1, 2, 3.
-    cat_class = _count_strata(draw, 3, 3, samples, seed, tol, shard_size)
+    cat_class = _count_strata(draw, 3, 3, samples, policy.master_seed, tol, policy.shard_size)
     totals = cat_class.sum(axis=0)
     counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]
@@ -633,7 +637,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     return SelfSimilarReport(
         params=params,
         samples=samples,
-        seed=seed,
+        seed=policy.master_seed,
         tol=tol,
         counts=counts,
         obtuse_hat=obtuse / samples,

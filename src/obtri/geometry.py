@@ -15,8 +15,12 @@ Obtuse, so every triangle lands in exactly one class.
 One kernel, ``measure_batch``, computes the codes for every caller.  In R^2
 and R^3 it works on coordinate-major edges, so each pass is a contiguous
 loop over the triples and each dot product is summed in one fixed order on
-every host; from d = 4 on it keeps ``einsum`` on row-major edges, which a
-C-contiguous block fills by one subtraction over its whole buffer.
+every host; a block of at most ``_SMALL_BLOCK`` rows (the annealing
+search's, the tail of an enumeration) takes all its products in one gather
+and one multiply, since there a numpy call costs more than its arithmetic,
+and gets the same bytes.  From d = 4 on the kernel keeps ``einsum`` on
+row-major edges, which a C-contiguous block fills by one subtraction over
+its whole buffer.
 """
 
 from __future__ import annotations
@@ -118,6 +122,75 @@ def _lagged_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges[:, 0], edges[:, 2], edges[:, 1]
 
 
+# Blocks of at most this many rows take their R^2 and R^3 products in one
+# gather and one multiply (``_gathered_measures``).  At the search's 15 and
+# 171 rows a numpy call costs more than its arithmetic, so fewer calls win;
+# in larger blocks the gathered copy, 3.5 (d = 2) or 4 (d = 3) times the size
+# of the edges, costs more than the calls it saves.  The two paths cross
+# near 600 rows at d = 2 and 1,400 at d = 3 (README, numerical notes); the
+# cut-over sits at the lower one, so every Monte Carlo chunk of 4,096 rows
+# keeps the per-pass products of ``_coordinate_measures``.
+_SMALL_BLOCK = 512
+
+
+def _product_rows(d: int) -> np.ndarray:
+    """Rows of the flattened (4d, m) edge buffer (slot s of coordinate j at
+    row 4j + s) whose products ``_gathered_measures`` takes: the left
+    factors, then as many right factors.
+
+    Per coordinate j, six products: cur[j] * nxt[j] (the three vertex dots)
+    and nxt[j] * nxt[j] (the squared |ab|, |bc|, |ac|); then the cross
+    product's terms u_i v_k of u = ba and v = ac, in the order
+    ``_coordinate_measures`` subtracts them: u0 v1 - u1 v0 at d = 2, and at
+    d = 3 (u1 v2, u2 v0, u0 v1) - (u2 v1, u0 v2, u1 v0).
+    """
+    left, right = [], []
+    for s in range(0, 4 * d, 4):
+        left += [s, s + 1, s + 2, s + 1, s + 2, s + 3]
+        right += [s + 1, s + 2, s + 3] * 2
+    pairs = ((0, 1), (1, 0)) if d == 2 else ((1, 2), (2, 0), (0, 1), (2, 1), (0, 2), (1, 0))
+    left += [4 * i + 1 for i, _ in pairs]
+    right += [4 * k + 3 for _, k in pairs]
+    return np.array(left + right, dtype=np.intp)
+
+
+_PRODUCT_ROWS = {d: _product_rows(d) for d in (2, 3)}
+
+
+def _gathered_measures(edges: np.ndarray):
+    """``_coordinate_measures``'s result from its (d, 4, m) edge buffer,
+    with every product from one ``take`` of the buffer's rows and one
+    multiply (see ``_product_rows`` for the rows).
+
+    The sums run in the same order on the same operands: the dots and
+    squared lengths of coordinate 0 plus those of 1 at d = 2, (p0 + p2) + p1
+    at d = 3, six rows per add; so every output is bit-identical to the
+    per-pass products.  The outputs are rows of the one (2r, m) gathered
+    buffer, r = 14 at d = 2 and 24 at d = 3.
+    """
+    d, _, m = edges.shape
+    rows = _PRODUCT_ROWS[d]
+    r = rows.size // 2
+    prod = edges.reshape(4 * d, m).take(rows, axis=0)
+    prod = np.multiply(prod[:r], prod[r:], out=prod[:r])
+    sums = prod[:6]  # dots at a, b, c, then squared |ab|, |bc|, |ac|
+    for j in (2, 1)[3 - d:]:
+        sums += prod[6 * j:6 * j + 6]
+    if d == 2:
+        area = np.subtract(prod[12], prod[13], out=prod[12])
+        np.abs(area, out=area)
+    else:
+        cross = np.subtract(prod[18:21], prod[21:24], out=prod[18:21])
+        area = np.square(cross, out=cross)[0]
+        area += cross[1]
+        area += cross[2]
+        np.sqrt(area, out=area)
+    area *= 0.5
+    lengths = sums[3:]
+    scale = np.maximum(lengths[0], np.maximum(lengths[2], lengths[1], out=lengths[2]), out=lengths[2])
+    return sums[:3], area, scale, lengths[:2]
+
+
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """``(dots, area, scale, work)`` in R^2 and R^3 from (m, d) vertex rows:
     the (3, m) dot products at a, b and c, the (m,) area and largest squared
@@ -127,6 +200,8 @@ def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     The edges go into one coordinate-major (d, 4, m) buffer, slots ca, ba,
     bc, ac, written from the transposed vertex rows (stride-0 rows are read
     in place), so every later pass is a contiguous loop over the triples.
+    A block of at most ``_SMALL_BLOCK`` rows hands the buffer to
+    ``_gathered_measures``; a larger one takes its products pass by pass.
     Adjacent slots are the two edges at a, b and c: with cur = slots 0..2
     and nxt = slots 1..3, the dot products are one sum over coordinates j
     of cur[j] * nxt[j], and the squared lengths of ba, bc, ac one sum of
@@ -141,13 +216,16 @@ def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     block are allocated: 18 values per triple at d = 3.
     """
     m, d = a.shape
-    edges, dots, part = np.empty((d, 4, m)), np.empty((3, m)), np.empty((3, m))
+    edges = np.empty((d, 4, m))
     at, bt, ct = a.T, b.T, c.T
     np.subtract(at, ct, out=edges[:, 0])
     np.subtract(at, bt, out=edges[:, 1])
     np.subtract(ct, bt, out=edges[:, 2])
     np.subtract(ct, at, out=edges[:, 3])
+    if m <= _SMALL_BLOCK:
+        return _gathered_measures(edges)
     cur, nxt = edges[:, :3], edges[:, 1:]
+    dots, part = np.empty((3, m)), np.empty((3, m))
     rest = (-1, 1)[:d - 1]  # the terms after p0 in einsum's order: p1, or p2 then p1
     np.multiply(cur[0], nxt[0], out=dots)
     for j in rest:
@@ -195,7 +273,10 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     Only this function sees the leading shape: it takes either form as (m, d)
     vertex rows (a block as its views ``tri[:, 0]``, ``tri[:, 1]``,
     ``tri[:, 2]``) and gives each output that shape back.  In R^2 and R^3
-    the rows go to ``_coordinate_measures``; else the edges are the (m, d)
+    the rows go to ``_coordinate_measures``, which gives a block of at most
+    ``_SMALL_BLOCK`` rows its products from one gather and one multiply
+    (``_gathered_measures``) and a larger one pass by pass, with the same
+    bytes either way; else the edges are the (m, d)
     rows ``b - a``, ``c - a``, ``c - b``, which ``_lagged_edges`` fills from
     a C-contiguous block (a Monte Carlo chunk, the search's gathered block).
     Every edge is the same subtraction in both forms, so they return
@@ -207,8 +288,9 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     largest squared edge length.  ``min_abs / scale`` is the normalized
     right-angle margin that the annealing search maximizes.  Each call
     returns fresh arrays that the caller may write; in R^2 and R^3
-    ``min_abs`` and ``scale`` are rows of (3, m) buffers, so keeping either
-    keeps three values per triple alive.
+    ``min_abs`` and ``scale`` are rows of (3, m) buffers, or of the gathered
+    (28, m) or (48, m) buffer in a small block, so keeping either keeps
+    several values per triple alive.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")

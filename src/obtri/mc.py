@@ -103,8 +103,11 @@ class SeedPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "shard_size", _int_at_least("shard_size", self.shard_size, 1))
-        if not (0 <= self.master_seed < 2 ** 64):
+        # No floor here: the range check below keeps its own message.
+        seed = _int_at_least("master seed", self.master_seed, -math.inf)
+        if not (0 <= seed < 2 ** 64):
             raise ValueError("master seed must fit in 64 bits")
+        object.__setattr__(self, "master_seed", seed)
 
     def rng_for_shard(self, shard: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.master_seed, shard))))
@@ -220,8 +223,12 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
     """Estimate triangle-class probabilities for a point sampler.
 
     Bit-identical results for fixed (sampler, samples, seed, shard_size)
-    regardless of ``workers``.
+    regardless of ``workers``.  The report holds ``samples``, ``seed`` and
+    ``shard_size`` as the checked Python ints, so it serializes to JSON
+    whatever integer type they were given as.
     """
+    samples = _int_at_least("samples", samples, 1)
+    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     streamed = hasattr(sampler, "sample_chunks")
 
     def draw(rng, shard, n, count):
@@ -230,7 +237,8 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
         else:
             count([(sampler.sample(rng, 3 * n), 0)])
 
-    table = _count_strata(draw, sampler.dim, 1, samples, seed, tol, shard_size, workers)
+    table = _count_strata(draw, sampler.dim, 1, samples, policy.master_seed, tol,
+                          policy.shard_size, workers)
     counts = class_counts(table[0])
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)
@@ -239,8 +247,8 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
         counts=counts,
         p_hat=obtuse / samples,
         ci95=(lo, hi),
-        seed=seed,
-        shard_size=shard_size,
+        seed=policy.master_seed,
+        shard_size=policy.shard_size,
         tol=tol,
         spec=spec,
     )

@@ -66,7 +66,8 @@ class SearchParams:
             object.__setattr__(self, name, _int_at_least(name, getattr(self, name), low))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        SeedPolicy(master_seed=self.seed)  # the Monte Carlo engine's seed check
+        # The Monte Carlo engine's seed check, which gives the seed as an int.
+        object.__setattr__(self, "seed", SeedPolicy(master_seed=self.seed).master_seed)
 
     def to_dict(self) -> dict:
         return {
@@ -162,11 +163,9 @@ def search_min(params: SearchParams) -> SearchResult:
     cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
     shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
 
-    def measure(tri):
-        """Class codes and normalized margins min|dot|/scale of an (m, 3, d)
-        block of triples."""
-        codes, min_abs, scale = measure_batch(tri, tol=params.tol)
-        return codes, np.divide(min_abs, np.maximum(scale, 1e-300, out=scale), out=scale)
+    def margins_of(min_abs, scale):
+        """Normalized margins min|dot|/scale, written over ``scale``."""
+        return np.divide(min_abs, np.maximum(scale, 1e-300, out=scale), out=scale)
 
     def tally(codes):
         # Codes: 0 acute, 1 right, 2 obtuse, 3 degenerate.
@@ -181,7 +180,8 @@ def search_min(params: SearchParams) -> SearchResult:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((params.seed, restart))))
         pts = np.array(_initial_points(rng, params, restart), dtype=float)
-        codes, margins = measure(pts.take(idx, axis=0))
+        codes, min_abs, scale = measure_batch(pts.take(idx, axis=0), tol=params.tol)
+        margins = margins_of(min_abs, scale)
         count, margin = tally(codes), float(np.minimum.reduce(margins))
         local_pts, local_count, local_margin = pts.copy(), count, margin
         temp = T_INITIAL
@@ -195,17 +195,18 @@ def search_min(params: SearchParams) -> SearchResult:
             t = touching[k]
             # mode="clip" (the indices are in range) lets take write into
             # the block without buffering it first.
-            new_codes, new_margins = measure(pts.take(corners[k], axis=0, out=block, mode="clip"))
+            new_codes, min_abs, scale = measure_batch(
+                pts.take(corners[k], axis=0, out=block, mode="clip"), tol=params.tol)
             cand_count = count - tally(codes[t]) + tally(new_codes)
             # A move that raises the count is decided by the count alone, so
-            # a rejected one has written nothing but the point.  Any other
-            # move needs the minimum margin with its new margins in: a tie
-            # is kept only if that minimum does not fall.
+            # a rejected one has written nothing but the point and computed
+            # no margin.  Any other move needs the minimum margin with its
+            # new margins in: a tie is kept only if that minimum does not fall.
             if cand_count > count and rng.random() >= math.exp((count - cand_count) / temp):
                 pts[k] = old
             else:
                 old_margins = margins[t]
-                margins[t] = new_margins
+                margins[t] = margins_of(min_abs, scale)
                 cand_margin = float(np.minimum.reduce(margins))
                 if cand_count != count or cand_margin >= margin:
                     codes[t] = new_codes

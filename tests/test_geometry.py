@@ -14,6 +14,7 @@ from obtri.geometry import (
     Configuration,
     TriangleClass,
     _coordinate_measures,
+    _gathered_measures,
     _lagged_edges,
     classify_batch,
     classify_exact,
@@ -300,19 +301,52 @@ class TestMeasureBatch:
     def test_block_size_invariance(self, d):
         # The kernel's result for a triple does not depend on the block it
         # comes in: blocks of one, two, the annealing search's 15 and 171,
-        # and a Monte Carlo chunk of 4,096 rows give the bytes of one whole
-        # call, in both forms.  The triples hold needles, far-off, collinear
-        # and coincident ones.
+        # the small-block cut-over and one row more, and a Monte Carlo chunk
+        # of 4,096 rows give the bytes of one whole call, in both forms.  In
+        # R^2 and R^3 the whole call and the larger blocks take the per-pass
+        # products, the smaller blocks the gathered ones.  The triples hold
+        # needles, far-off, collinear and coincident ones.
         a, b, c = (np.resize(x, (4200, d)) for x in measure_triples(d))
         tri = np.stack([a, b, c], axis=1)
         whole = measure_batch(tri, tol=1e-12)
-        for size in (1, 2, 15, 171, 4096):
+        for size in (1, 2, 15, 171, geometry._SMALL_BLOCK, geometry._SMALL_BLOCK + 1, 4096):
             for start in range(0, len(tri), size):
                 part = slice(start, start + size)
                 for form in (measure_batch(tri[part], tol=1e-12),
                              measure_batch(a[part], b[part], c[part], 1e-12)):
                     for got, want in zip(form, whole, strict=True):
                         assert got.tobytes() == want[part].tobytes(), (size, start)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_special_values_on_both_paths(self, d, monkeypatch):
+        # Signed zeros, huge and tiny magnitudes, infinities and NaNs give
+        # the same bytes, NaN signs included, whether a block takes the
+        # gathered products (cut-over above the block) or the per-pass ones
+        # (cut-over 0): in block form, in vertex form and with a broadcast
+        # vertex.
+        values = [0.0, -0.0, 1e200, -1e200, 1e-200, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(d)
+        tri = rng.choice(values, size=(3000, 3, d))
+        tri[:len(values), 0] = np.array(values)[:, None]  # every value in every coordinate of a
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        gathered = []  # the row count of each block that took the gathered path
+
+        def spy(edges):
+            gathered.append(edges.shape[-1])
+            return _gathered_measures(edges)
+
+        monkeypatch.setattr(geometry, "_gathered_measures", spy)
+        results = {}
+        with np.errstate(all="ignore"):
+            for cut in (0, len(tri)):
+                monkeypatch.setattr(geometry, "_SMALL_BLOCK", cut)
+                results[cut] = [measure_batch(tri, tol=1e-12), measure_batch(a, b, c, 1e-12),
+                                measure_batch(a[7], b, c, 1e-12)]
+        assert gathered == [len(tri)] * 3
+        for per_pass, small in zip(results[0], results[len(tri)], strict=True):
+            for x, y in zip(per_pass, small, strict=True):
+                assert x.tobytes() == y.tobytes()
+        assert np.isnan(results[0][0][2]).any() and np.isinf(results[0][0][2]).any()
 
     @pytest.mark.parametrize("d", [2, 3, 4, 10])
     def test_block_peak_memory(self, d):

@@ -4,6 +4,8 @@ below the argument's floor raises ValueError, and a numpy integer gives the
 same value, of the same type, as the equal Python int.  The last point is
 what keeps the exact bounds exact: int64 arithmetic would wrap."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,11 @@ from obtri.constructions import (
     SelfSimilarSampler,
     SphereSampler,
     arc_triple_pattern_report,
+    mc_self_similar,
 )
 from obtri.geometry import Configuration
-from obtri.mc import _chunk_bounds, estimate, wilson_interval
-from obtri.search import SearchParams
+from obtri.mc import SeedPolicy, _chunk_bounds, estimate, wilson_interval
+from obtri.search import SearchParams, search_min
 
 DEMO = ArcTripleParams(alpha=1e-4, delta=8e-6, eps=0.05)
 
@@ -137,3 +140,62 @@ def test_chunk_streams_check_at_the_call_and_draw_at_next(stream):
     assert g.bit_generator.state == state  # nothing is drawn before the first chunk
     next(chunks)
     assert g.bit_generator.state != state
+
+
+# A master seed is an integer in [0, 2^64): the Monte Carlo engine's
+# SeedPolicy checks it for every seeded entry point and stores it as an int.
+SEEDED = {
+    "SeedPolicy": lambda s: SeedPolicy(master_seed=s).master_seed,
+    "SearchParams": lambda s: SearchParams(n=5, d=2, seed=s).seed,
+    "estimate": lambda s: estimate(SphereSampler(3), 300, seed=s).seed,
+    "mc_self_similar": lambda s: mc_self_similar(SelfSimilarParams(p=0.5), 300, seed=s).seed,
+}
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+def test_float_seed_is_refused_at_the_call(call):
+    with pytest.raises(TypeError):
+        call(1.5)
+    with pytest.raises(TypeError):
+        call(7.0)
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_refused(call, seed):
+    with pytest.raises(ValueError, match="^master seed must fit in 64 bits$"):
+        call(seed)
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint64(2 ** 64 - 1)])
+def test_numpy_seed_is_stored_as_the_int(call, seed):
+    got = call(seed)
+    assert got == int(seed) and type(got) is int
+
+
+def test_numpy_seed_gives_the_python_counts():
+    for seed in (np.int64(7), np.uint64(7)):
+        assert estimate(SphereSampler(3), 300, seed=seed).counts == \
+            estimate(SphereSampler(3), 300, seed=7).counts
+        report = mc_self_similar(SelfSimilarParams(p=0.5), 300, seed=seed)
+        assert report.to_dict() == mc_self_similar(SelfSimilarParams(p=0.5), 300, seed=7).to_dict()
+        found = search_min(SearchParams(n=5, d=2, iterations=50, restarts=2, seed=seed))
+        want = search_min(SearchParams(n=5, d=2, iterations=50, restarts=2, seed=7))
+        assert found.to_dict() == want.to_dict()
+        assert found.best.points.tobytes() == want.best.points.tobytes()
+
+
+REPORTS = {
+    "estimate": lambda n, s, k: estimate(SphereSampler(3), n, seed=s, shard_size=k).to_dict(),
+    "mc_self_similar": lambda n, s, k: mc_self_similar(SelfSimilarParams(p=0.5), n, seed=s,
+                                                       shard_size=k).to_dict(),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS.values(), ids=REPORTS)
+def test_report_of_numpy_integers_is_the_python_report(report):
+    # The report holds the checked ints, so it is JSON whatever integer
+    # type the caller passed, and byte-identical to the Python-int report.
+    want = json.dumps(report(300, 1, 100))
+    assert json.dumps(report(np.int64(300), np.uint64(1), np.int64(100))) == want

@@ -29,7 +29,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "obtri"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ENGINE_ONLY = ("rng_for_shard", "ThreadPoolExecutor")
-KERNEL_ONLY = ("einsum", "_coordinate_measures", "_lagged_edges", "_triangle_area")
+KERNEL_ONLY = ("einsum", "_coordinate_measures", "_gathered_measures", "_lagged_edges",
+               "_triangle_area")
 TEXT_OUTPUT_ONLY = ("stdout", "stderr", "csv", "logging")
 
 
