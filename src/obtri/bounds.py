@@ -1,8 +1,8 @@
 """Exact lower bounds on the obtuse-triangle probability via counting.
 
 Everything in this module is integer or rational arithmetic; the only floats
-are the conversions in ``LimitBoundResult.summary()``, and writing results
-as text is left to the command line.  The driving identity is the recursion
+are the conversions in ``LimitBoundResult.summary()`` and ``_real_in``, and
+text output is left to the command line.  The driving identity is the recursion
 
     t_{n+1} = ceil(t_n * (n+1) / (n-2)),
 
@@ -38,6 +38,7 @@ large d).
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 import pickle
@@ -67,11 +68,34 @@ DIGIT_BOUND = 1 << sys.int_info.bits_per_digit
 def _int_at_least(name: str, value: int, low: int) -> int:
     """``value`` as a Python int of at least ``low``, the one check of every
     count and dimension: a numpy integer becomes an int, so exact arithmetic
-    on it cannot wrap; a float raises TypeError and a smaller value ValueError."""
+    on it cannot wrap; a float or a bool raises TypeError and a smaller value
+    ValueError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def _real_in(name: str, value: float, low: float, high: float, *,
+             closed: float | None = None) -> float:
+    """``value`` as a Python float in (low, high), or with its finite end
+    ``closed`` included: the one check of every real parameter.  A numpy float
+    becomes a float, so reports holding it serialize; a bool or a non-real
+    raises TypeError, and NaN, an infinity or a value outside ValueError."""
+    x = value
+    if type(x) is not float:  # the common case skips the type tests
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the float range lies in no interval
+            x = float("nan")
+    if low < x < high or x == closed:
+        return x
+    ends = "[("[closed != low] + f"{low}, {high}" + "])"[closed != high]
+    raise ValueError(f"{name} must be finite and lie in {ends}, got {value!r}")
 
 
 def base_case(d: int) -> int:
@@ -87,7 +111,7 @@ def base_case(d: int) -> int:
 def _checked_base_case(d: int, n_max: int) -> int:
     """``base_case(d)``, refusing an n_max below it or not an integer."""
     start = base_case(d)
-    if operator.index(n_max) < start:
+    if _int_at_least("n_max", n_max, 0) < start:
         raise ValueError(f"n_max={n_max} is below the base case {start} for d={d}")
     return start
 
@@ -197,7 +221,7 @@ def limit_bound(d: int, n_max: int) -> LimitBoundResult:
     that fact on consecutive checkpoint ratios (rational comparison, i.e.
     cross-multiplication), so the flag stays truthful.
     """
-    d, n_max = operator.index(d), operator.index(n_max)
+    d, n_max = _int_at_least("dimension", d, 2), _int_at_least("n_max", n_max, 0)
     start = _checked_base_case(d, n_max)
     stride = max(1, (n_max - start) // RECORD_COUNT)
     form = closed_form(d)

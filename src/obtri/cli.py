@@ -279,14 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="64-bit master seed; derived from entropy when omitted")
 
-    p = sub.add_parser("bound", help="recursion lower bound for one dimension")
+    ceiling = " ('asymptotic' is a ceiling on the recursion's ratio, not its limit)"
+    p = sub.add_parser("bound", help="recursion lower bound for one dimension" + ceiling)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-max", type=int, default=10 ** 6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p, seeded=False)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("table", help="lower-bound table over a dimension range (CSV)")
+    p = sub.add_parser("table", help="lower-bound table over a dimension range (CSV)" + ceiling)
     p.add_argument("--dims", type=_dims_range, default=(4, 8),
                    help="inclusive range, e.g. 4..8")
     p.add_argument("--n-max", type=int, default=10 ** 6)

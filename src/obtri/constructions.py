@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from obtri.bounds import _int_at_least
+from obtri.bounds import _int_at_least, _real_in
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts
 from obtri.mc import (_BLOCK, DEFAULT_SHARD_SIZE, SeedPolicy, _blockwise, _chunk_bounds, _count_strata,
                       wilson_interval)
@@ -83,14 +83,9 @@ class ArcTripleParams:
     radius_scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < math.pi / 8.0):
-            raise ValueError(f"alpha must lie in (0, pi/8), got {self.alpha!r}")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not (0.0 < self.radius_scale < math.inf):
-            raise ValueError(f"radius_scale must be finite and > 0, got {self.radius_scale!r}")
+        for name, high in (("alpha", math.pi / 8.0), ("delta", math.inf), ("eps", 1.0),
+                           ("radius_scale", math.inf)):
+            object.__setattr__(self, name, _real_in(name, getattr(self, name), 0.0, high))
         for name, extent in (("A", self.delta / (self.radius_scale * 1.0)),
                              ("C", self.eps * self.delta / (self.radius_scale * 1.0)),
                              ("B", self.eps ** 2 * self.delta /
@@ -300,13 +295,13 @@ def arc_triple_pattern_report(params: ArcTripleParams, samples_per_pattern: int,
     pattern removes the multinomial noise of arc choice).
     """
     samples_per_pattern = _int_at_least("samples_per_pattern", samples_per_pattern, 1)
+    policy = SeedPolicy(master_seed=seed, shard_size=samples_per_pattern)
     sampler = ArcTripleSampler(params)
 
     def draw(rng, shard, n, count):  # shard i is pattern i, stratum i
         count([(sampler.sample_pattern(rng, PATTERNS[shard][0], n).reshape(3 * n, 2), shard)])
 
-    table = _count_strata(draw, 2, len(PATTERNS), len(PATTERNS) * samples_per_pattern, seed,
-                          tol, samples_per_pattern)
+    table = _count_strata(draw, 2, len(PATTERNS), len(PATTERNS) * samples_per_pattern, policy, tol)
     rows = []
     for (pattern, weight), row in zip(PATTERNS, table):
         counts = class_counts(row)
@@ -318,15 +313,14 @@ def arc_triple_pattern_report(params: ArcTripleParams, samples_per_pattern: int,
             acute_rate=counts[TriangleClass.ACUTE] / samples_per_pattern,
             obtuse_rate=counts[TriangleClass.OBTUSE] / samples_per_pattern,
         ))
-    return PatternReport(params=params, seed=seed, rows=tuple(rows))
+    return PatternReport(params=params, seed=policy.master_seed, rows=tuple(rows))
 
 
 # Fixed-point analysis of the self-similar construction.
 
 def fixed_point_acute(p: float) -> float:
     """Acute probability x(p) solving x = 3(1-p)p^2 + (1-p)^3 x + (5/9)p^3."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    p = _real_in("p", p, 0.0, 1.0)
     q = 1.0 - p
     # 1 - q^3 = p(3 - 3p + p^2), which is 3p where q rounds to 1.
     return (3.0 * q * p * p + ACUTE_FRACTION_LIMIT * p ** 3) / (1.0 - q ** 3 if q < 1.0 else 3.0 * p)
@@ -411,12 +405,9 @@ class SelfSimilarParams:
     max_depth: int = 12
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"p must lie in (0, 1] (1 = single cap), got {self.p!r}")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
-        if not (0.0 < self.cap_half_angle < math.pi / 4.0):
-            raise ValueError(f"cap_half_angle must lie in (0, pi/4), got {self.cap_half_angle!r}")
+        for name, high, closed in (("p", 1.0, 1.0), ("rho", 1.0, None),  # p = 1: one cap
+                                   ("cap_half_angle", math.pi / 4.0, None)):
+            object.__setattr__(self, name, _real_in(name, getattr(self, name), 0.0, high, closed=closed))
         object.__setattr__(self, "max_depth", _int_at_least("max_depth", self.max_depth, 0))
         if self.rho ** self.max_depth < 1e-150:
             raise ValueError("rho**max_depth underflows the classifier; raise rho or lower max_depth")
@@ -599,9 +590,10 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
     margin the accounting relies on: sub-roundoff cases land in the Right
     class instead of flipping randomly between acute and obtuse, which keeps
     the obtuse fraction clean.  ``samples`` and ``seed`` go into the report
-    as the checked Python ints.
+    as the checked Python ints, ``tol`` as the checked float.
     """
     samples = _int_at_least("samples", samples, 1)
+    tol = _real_in("tol", tol, 0.0, math.inf, closed=0.0)
     policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     sampler = SelfSimilarSampler(params)
 
@@ -617,7 +609,7 @@ def mc_self_similar(params: SelfSimilarParams, samples: int, seed: int,
         sampler.sample_with_levels(rng, 3 * n, consume=lambda chunks: count(stratified(chunks)))
 
     # Rows: shallow count 1, 2, 3.
-    cat_class = _count_strata(draw, 3, 3, samples, policy.master_seed, tol, policy.shard_size)
+    cat_class = _count_strata(draw, 3, 3, samples, policy, tol)
     totals = cat_class.sum(axis=0)
     counts = class_counts(totals)
     acute = counts[TriangleClass.ACUTE]
@@ -686,12 +678,8 @@ class SingleArcSampler:
     dim = 2
 
     def __init__(self, arc_angle: float, radius: float = 1.0):
-        if not (0.0 < arc_angle <= math.pi):
-            raise ValueError(f"arc_angle must lie in (0, pi], got {arc_angle!r}")
-        if not (0.0 < radius < math.inf):
-            raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-        self.arc_angle = arc_angle
-        self.radius = radius
+        self.arc_angle = _real_in("arc_angle", arc_angle, 0.0, math.pi, closed=math.pi)
+        self.radius = _real_in("radius", radius, 0.0, math.inf)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         phi = (rng.random(n) - 0.5) * self.arc_angle
@@ -709,9 +697,7 @@ class MixtureSampler:
         dims = {s.dim for _, s in components}
         if len(dims) != 1:
             raise ValueError(f"mixture components must share a dimension, got {sorted(dims)}")
-        weights = np.array([w for w, _ in components], dtype=float)
-        if not np.all((weights > 0.0) & (weights < math.inf)):
-            raise ValueError(f"mixture weights must be finite and > 0, got {weights.tolist()}")
+        weights = np.array([_real_in("mixture weights", w, 0.0, math.inf) for w, _ in components])
         self.weights = weights / weights.sum()
         self.samplers = [s for _, s in components]
         self.dim = self.samplers[0].dim
@@ -767,10 +753,7 @@ def build_sampler(spec: DistributionSpec):
             for entry in params["components"]:
                 sub = DistributionSpec(kind=entry["spec"]["kind"],
                                        params=entry["spec"].get("params", {}))
-                weight = entry["weight"]
-                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                    raise TypeError(f"a mixture weight must be a number, got {weight!r}")
-                comps.append((float(weight), build_sampler(sub)))
+                comps.append((entry["weight"], build_sampler(sub)))
             return MixtureSampler(comps)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid {kind} spec params ({type(exc).__name__}: {exc})") from exc

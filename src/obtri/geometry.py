@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from obtri.bounds import _int_at_least
+from obtri.bounds import _int_at_least, _real_in
 
 DEFAULT_TOL = 1e-12
 
@@ -292,8 +292,7 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
     (28, m) or (48, m) buffer in a small block, so keeping either keeps
     several values per triple alive.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = _real_in("tol", tol, 0.0, math.inf, closed=0.0)
     if b is None and c is None:
         tri = np.asarray(a, dtype=float)
         if tri.ndim < 2 or tri.shape[-2] != 3:

@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from obtri.bounds import _int_at_least
+from obtri.bounds import _int_at_least, _real_in
 from obtri.geometry import DEFAULT_TOL, TriangleClass, class_counts, classify_batch
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -162,12 +162,11 @@ class Estimate:
         return asdict(self)
 
 
-def _count_strata(draw, dim: int, strata: int, samples: int, seed: int, tol: float,
-                  shard_size: int, workers: int = 1) -> np.ndarray:
-    """The ``strata x 4`` class counts of ``samples`` triples from ``draw``
-    (see the module docstring for the contract)."""
-    samples, workers = _int_at_least("samples", samples, 1), _int_at_least("workers", workers, 1)
-    policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
+def _count_strata(draw, dim: int, strata: int, samples: int, policy: SeedPolicy, tol: float,
+                  workers: int = 1) -> np.ndarray:
+    """The ``strata x 4`` class counts of the caller's checked ``samples``
+    triples from ``draw`` (see the module docstring for the contract)."""
+    workers = _int_at_least("workers", workers, 1)
     shard_size = policy.shard_size
     n_shards = (samples + shard_size - 1) // shard_size
 
@@ -224,10 +223,11 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
 
     Bit-identical results for fixed (sampler, samples, seed, shard_size)
     regardless of ``workers``.  The report holds ``samples``, ``seed`` and
-    ``shard_size`` as the checked Python ints, so it serializes to JSON
-    whatever integer type they were given as.
+    ``shard_size`` as the checked Python ints and ``tol`` as the checked
+    float, so it serializes to JSON whatever numeric types they were given as.
     """
     samples = _int_at_least("samples", samples, 1)
+    tol = _real_in("tol", tol, 0.0, math.inf, closed=0.0)
     policy = SeedPolicy(master_seed=seed, shard_size=shard_size)
     streamed = hasattr(sampler, "sample_chunks")
 
@@ -237,8 +237,7 @@ def estimate(sampler, samples: int, seed: int, tol: float = DEFAULT_TOL, *,
         else:
             count([(sampler.sample(rng, 3 * n), 0)])
 
-    table = _count_strata(draw, sampler.dim, 1, samples, policy.master_seed, tol,
-                          policy.shard_size, workers)
+    table = _count_strata(draw, sampler.dim, 1, samples, policy, tol, workers)
     counts = class_counts(table[0])
     obtuse = counts[TriangleClass.OBTUSE]
     lo, hi = wilson_interval(obtuse, samples)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from obtri.bounds import _int_at_least, base_case, closed_form
+from obtri.bounds import _int_at_least, _real_in, base_case, closed_form
 from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
@@ -68,6 +68,7 @@ class SearchParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # The Monte Carlo engine's seed check, which gives the seed as an int.
         object.__setattr__(self, "seed", SeedPolicy(master_seed=self.seed).master_seed)
+        object.__setattr__(self, "tol", _real_in("tol", self.tol, 0.0, math.inf, closed=0.0))
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from obtri.bounds import _real_in
+
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge within its budget.
@@ -37,8 +39,7 @@ def log_gamma(x: float) -> float:
     Raises:
         ValueError: if x <= 0 or x is not finite.
     """
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
+    x = _real_in("x", x, 0.0, math.inf)
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -63,8 +64,7 @@ def log_gamma_half_ratio(a: float) -> float:
     for a <= 1000); from ``_HALF_RATIO_MIN`` on the difference is summed
     directly as its asymptotic series in 1/a.
     """
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"log_gamma_half_ratio requires a > 0, got {a!r}")
+    a = _real_in("a", a, 0.0, math.inf)
     if a < _HALF_RATIO_MIN:
         return log_gamma(a + 0.5) - log_gamma(a)
     t = 1.0 / (a * a)
@@ -132,12 +132,8 @@ def betainc(z: float, a: float, b: float, lbeta: float | None = None) -> float:
         NumericalError: if the continued fraction fails to converge; the
             exception context carries (z, a, b).
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"a must be finite and > 0, got {a!r}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError(f"b must be finite and > 0, got {b!r}")
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+    a, b = _real_in("a", a, 0.0, math.inf), _real_in("b", b, 0.0, math.inf)
+    z = _real_in("z", z, -math.inf, math.inf)
     # z is clamped to [0, 1]; values outside by rounding error are fine.
     z = min(1.0, max(0.0, z))
     if z == 0.0:
@@ -219,10 +215,8 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10) -> QuadratureResult:
             integral: panels still open when the budget runs out keep their
             current estimate).
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    lo, hi = _real_in("lo", lo, -math.inf, math.inf), _real_in("hi", hi, -math.inf, math.inf)
+    tol = _real_in("tol", tol, 0.0, math.inf)
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
 

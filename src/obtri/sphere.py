@@ -31,7 +31,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from obtri.bounds import _int_at_least
+from obtri.bounds import _int_at_least, _real_in
 from obtri.mc import _blockwise, _chunk_bounds
 from obtri.specfun import QuadratureResult, betainc, integrate, log_gamma_half_ratio
 
@@ -50,9 +50,7 @@ def _three_caps(theta: float, d: int, lbeta: float) -> float:
 
 def obtuse_given_angle(theta: float, d: int) -> float:
     """Three-cap probability that the third point makes the triangle obtuse."""
-    d = _int_at_least("dimension", d, 2)
-    if not (0.0 < theta < math.pi):
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+    d, theta = _int_at_least("dimension", d, 2), _real_in("theta", theta, 0.0, math.pi)
     return _three_caps(theta, d, _log_sin_power_norm(d))
 
 
@@ -74,11 +72,11 @@ def _log_sin_power_norm(d: int) -> float:
 def obtuse_prob_sphere(d: int, tol: float = 1e-10) -> float:
     """Quadrature of the three-cap probability against the angle density.
 
-    ``tol`` is interpreted relative to the size of the result, which
-    ``laplace_sphere(d)`` sets (capped at 1), so small high-dimension
-    probabilities come back with full relative accuracy.
+    ``tol``, checked as given, is then taken relative to the size of the
+    result, which ``laplace_sphere(d)`` sets (capped at 1), so small
+    high-dimension probabilities come back with full relative accuracy.
     """
-    d = _int_at_least("dimension", d, 2)
+    d, tol = _int_at_least("dimension", d, 2), _real_in("tol", tol, 0.0, math.inf)
     lbeta = _log_sin_power_norm(d)
     p = d - 2
 

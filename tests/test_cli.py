@@ -196,12 +196,15 @@ class TestMc:
         {"kind": "mixture", "params": {"components": [{"weight": 1.0}]}},
         {"kind": "self_similar", "params": {"p": 0.8, "arc": {"alpha": 0.0068}}},
         {"kind": "self_similar", "params": {"p": 0.8, "max_depth": 3.5}},
+        {"kind": "self_similar", "params": {"p": True}},
+        {"kind": "self_similar", "params": {"p": 0.8, "max_depth": True}},
         *({"kind": "mixture", "params": {"components": [
             {"weight": weight, "spec": {"kind": "sphere", "params": {"d": 2}}}]}}
           for weight in ("0.5", "x", True)),
     ], ids=["sphere-without-d", "sphere-float-d", "params-not-object", "unknown-param",
             "arc-triple-partial", "mixture-without-spec", "self-similar-partial-arc",
-            "self-similar-float-depth", "mixture-numeric-text-weight", "mixture-text-weight",
+            "self-similar-float-depth", "self-similar-bool-p", "self-similar-bool-depth",
+            "mixture-numeric-text-weight", "mixture-text-weight",
             "mixture-bool-weight"])
     def test_malformed_spec_is_usage_error(self, tmp_path, capsys, spec):
         code, out, err = run(["mc", "--spec", self.write_spec(tmp_path, spec),
@@ -216,7 +219,10 @@ class TestMc:
         '{"kind": "single_arc", "params": {"arc_angle": 0.4, "radius": NaN}}',
         '{"kind": "arc_triple", "params": {"alpha": 0.001, "delta": 0.0001, "eps": 0.1, '
         '"radius_scale": Infinity}}',
-    ], ids=["mixture-nan-weight", "single-arc-nan-radius", "arc-triple-infinite-scale"])
+        # json reads an integer literal as an int, however long.
+        '{"kind": "single_arc", "params": {"arc_angle": 0.4, "radius": 1%s}}' % ("0" * 400),
+    ], ids=["mixture-nan-weight", "single-arc-nan-radius", "arc-triple-infinite-scale",
+            "single-arc-huge-int-radius"])
     def test_nonfinite_spec_value_is_usage_error(self, tmp_path, capsys, text):
         # json reads NaN and Infinity, so the samplers have to refuse them.
         path = tmp_path / "spec.json"

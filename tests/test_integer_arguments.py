@@ -1,8 +1,9 @@
 """Every count and dimension argument of the library goes through one check,
-``obtri.bounds._int_at_least``: a float raises TypeError at the call, a value
-below the argument's floor raises ValueError, and a numpy integer gives the
-same value, of the same type, as the equal Python int.  The last point is
-what keeps the exact bounds exact: int64 arithmetic would wrap."""
+``obtri.bounds._int_at_least``: a float or a bool raises TypeError at the
+call, a value below the argument's floor raises ValueError, and a numpy
+integer gives the same value, of the same type, as the equal Python int.
+The last point is what keeps the exact bounds exact: int64 arithmetic would
+wrap."""
 
 import json
 
@@ -56,6 +57,7 @@ SITES = {
     "tail_sum-m": (lambda m: tail_sum(m, 4 * 10 ** 9), 3 * 10 ** 9, 3, "m"),
     "tail_sum-M": (lambda M: tail_sum(3 * 10 ** 9, M), 4 * 10 ** 9, 3 * 10 ** 9, "M"),
     "limit_bound-d": (lambda d: limit_bound(d, 300).lower_bound, 5, 2, "dimension"),
+    "limit_bound-n_max": (lambda n: limit_bound(5, n).lower_bound, 300, 0, "n_max"),
     "obtuse_given_angle": (lambda d: sphere.obtuse_given_angle(1.0, d), 5, 2, "dimension"),
     "obtuse_prob_sphere": (sphere.obtuse_prob_sphere, 5, 2, "dimension"),
     "laplace_sphere": (sphere.laplace_sphere, 5, 2, "dimension"),
@@ -94,6 +96,13 @@ SITES = {
 def test_float_is_refused(call, valid, low, name):
     with pytest.raises(TypeError):
         call(float(valid))
+
+
+@pytest.mark.parametrize("call, valid, low, name", SITES.values(), ids=SITES)
+def test_bool_is_refused(call, valid, low, name):
+    # A bool is an int subclass, so operator.index alone would take True as 1.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got True$"):
+        call(True)
 
 
 @pytest.mark.parametrize("call, valid, low, name", SITES.values(), ids=SITES)
@@ -149,6 +158,7 @@ SEEDED = {
     "SearchParams": lambda s: SearchParams(n=5, d=2, seed=s).seed,
     "estimate": lambda s: estimate(SphereSampler(3), 300, seed=s).seed,
     "mc_self_similar": lambda s: mc_self_similar(SelfSimilarParams(p=0.5), 300, seed=s).seed,
+    "arc_triple_pattern_report": lambda s: arc_triple_pattern_report(DEMO, 20, seed=s).seed,
 }
 
 

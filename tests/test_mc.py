@@ -161,7 +161,7 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("shard_size,samples", SIZES)
     def test_matches_unblocked_oracle(self, shard_size, samples, per_triple):
         chunk = grid_chunk(3, per_triple)
-        got = _count_strata(whole(chunk), 2, 3, samples, 5, 1e-12, shard_size)
+        got = _count_strata(whole(chunk), 2, 3, samples, SeedPolicy(5, shard_size), 1e-12)
         expected = unblocked_counts(chunk, 2, 3, samples, 5, 1e-12, shard_size)
         assert np.array_equal(got, expected)
         assert got.sum() == samples
@@ -173,7 +173,7 @@ class TestBlockedEngine:
             return sampler.sample(rng, 3 * n), 0
 
         samples = 3 * _BLOCK + 11
-        got = _count_strata(whole(chunk), 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1)
+        got = _count_strata(whole(chunk), 10, 1, samples, SeedPolicy(9, 2 * _BLOCK + 1), 1e-12)
         assert np.array_equal(got, unblocked_counts(chunk, 10, 1, samples, 9, 1e-12, 2 * _BLOCK + 1))
 
     def test_shard_memory_is_points_plus_blocks(self):
@@ -330,8 +330,8 @@ class TestStreamedShards:
                              ids=["in-order", "reversed", "interleaved"])
     def test_chunk_order_does_not_matter(self, order):
         chunk = grid_chunk(3, per_triple=True)
-        one = _count_strata(whole(chunk), 2, 3, 9_001, 5, 1e-12, 4_500)
-        many = _count_strata(chunked(chunk, order), 2, 3, 9_001, 5, 1e-12, 4_500)
+        one = _count_strata(whole(chunk), 2, 3, 9_001, SeedPolicy(5, 4_500), 1e-12)
+        many = _count_strata(chunked(chunk, order), 2, 3, 9_001, SeedPolicy(5, 4_500), 1e-12)
         assert np.array_equal(many, one)
         assert many.sum() == 9_001
 
@@ -344,12 +344,12 @@ class TestStreamedShards:
             count([(pts[:3 * half], stratum[:half])])
             count([(pts[3 * half:], stratum[half:])])
 
-        one = _count_strata(whole(chunk), 2, 3, 9_001, 5, 1e-12, 4_500)
-        assert np.array_equal(_count_strata(halves, 2, 3, 9_001, 5, 1e-12, 4_500), one)
+        one = _count_strata(whole(chunk), 2, 3, 9_001, SeedPolicy(5, 4_500), 1e-12)
+        assert np.array_equal(_count_strata(halves, 2, 3, 9_001, SeedPolicy(5, 4_500), 1e-12), one)
 
     def test_a_draw_that_counts_nothing_fails(self):
         with pytest.raises(SamplerError, match="chunks hold 0 triples, expected 50"):
-            _count_strata(lambda rng, shard, n, count: None, 2, 1, 50, 1, 1e-12, 50)
+            _count_strata(lambda rng, shard, n, count: None, 2, 1, 50, SeedPolicy(1, 50), 1e-12)
 
     def test_error_on_a_later_chunk_carries_shard_position(self):
         def chunks(rng, shard, n):
@@ -362,7 +362,7 @@ class TestStreamedShards:
             count(chunks(rng, shard, n))
 
         with pytest.raises(SamplerError) as err:
-            _count_strata(draw, 2, 1, 250, 1, 1e-12, 100)
+            _count_strata(draw, 2, 1, 250, SeedPolicy(1, 100), 1e-12)
         assert (err.value.shard, err.value.sample_offset) == (1, 100)
         assert isinstance(err.value.__cause__, RuntimeError)
 
@@ -378,7 +378,7 @@ class TestStreamedShards:
             count((np.zeros(shape), 0) for shape in shapes)
 
         with pytest.raises(SamplerError, match=message) as err:
-            _count_strata(draw, 2, 1, 50, 1, 1e-12, 50)
+            _count_strata(draw, 2, 1, 50, SeedPolicy(1, 50), 1e-12)
         assert (err.value.shard, err.value.sample_offset) == (0, 0)
         assert err.value.__cause__ is None
 
@@ -388,7 +388,7 @@ class TestStreamedShards:
 
         monkeypatch.setattr(mc, "classify_batch", broken)
         with pytest.raises(ZeroDivisionError):
-            _count_strata(whole(grid_chunk(1, per_triple=False)), 2, 1, 10, 1, 1e-12, 10)
+            _count_strata(whole(grid_chunk(1, per_triple=False)), 2, 1, 10, SeedPolicy(1, 10), 1e-12)
 
     def test_a_streamed_shard_is_one_sample_call(self, monkeypatch):
         # Each shard is drawn and classified inside one call of a method that

@@ -10,7 +10,9 @@ products with ``einsum`` or reaches the kernel's helpers.  Text output lives
 in ``obtri.cli``: no other module names ``stdout``, ``stderr``, ``csv`` or
 ``logging``, so the library returns values and the command writes them.
 Every count and dimension is checked by ``obtri.bounds._int_at_least``: no
-other module imports ``operator``, so ``operator.index`` has one home.  No
+other module imports ``operator``, so ``operator.index`` has one home.  Every
+real parameter is checked by ``obtri.bounds._real_in``: no other module
+raises a hand-written range or finiteness error for one.  No
 module keeps an import it does not use (names listed in ``__all__`` count
 as used, so the package's re-exports are allowed).  And every public
 top-level function or class has a caller: its own module uses it, another
@@ -102,6 +104,24 @@ def test_text_output_names_only_in_cli(name):
 def test_operator_imported_only_in_bounds():
     holders = [p.name for p in MODULES if "operator" in _imported(_tree(p))]
     assert holders == ["bounds.py"]
+
+
+# The messages of a hand-written real-parameter check.  An error about a
+# computed value, such as the quadrature's non-finite integrand, is not one.
+PARAMETER_CHECK = re.compile(r"must (lie in|be finite|be positive)|requires \w+ [<>]")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "bounds.py"], ids=lambda p: p.name)
+def test_real_parameters_checked_only_in_bounds(path):
+    checks = []
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ValueError"):
+            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if PARAMETER_CHECK.search(text):
+                checks.append(f"line {node.lineno}: {text!r}")
+    assert not checks, f"{path.name} checks a real parameter by hand: {checks}"
 
 
 def test_fork_only_in_bounds():
