@@ -358,8 +358,7 @@ def maximize_acute() -> FixedPointResult:
 
 def fixed_point_scan(n: int) -> list[tuple[float, float]]:
     """Grid of (p, x(p)) pairs over (0, 1), for tables and unimodality checks."""
-    if n < 1:
-        raise ValueError(f"a scan needs at least 1 point, got {n}")
+    n = _int_at_least("scan points", n, 1)
     return [((i + 1) / (n + 1), fixed_point_acute((i + 1) / (n + 1))) for i in range(n)]
 
 

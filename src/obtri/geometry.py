@@ -12,15 +12,19 @@ Right; a triangle whose area is at most ``tol * scale`` is Degenerate
 (coincident or collinear points).  Degenerate wins over Right wins over
 Obtuse, so every triangle lands in exactly one class.
 
-One kernel, ``measure_batch``, computes the codes for every caller.  In R^2
-and R^3 it works on coordinate-major edges, so each pass is a contiguous
-loop over the triples and each dot product is summed in one fixed order on
-every host; a block of at most ``_SMALL_BLOCK`` rows (the annealing
-search's, the tail of an enumeration) takes all its products in one gather
-and one multiply, since there a numpy call costs more than its arithmetic,
-and gets the same bytes.  From d = 4 on the kernel keeps ``einsum`` on
-row-major edges, which a C-contiguous block fills by one subtraction over
-its whole buffer.
+One kernel computes the codes for every caller.  It takes triangles in
+three forms: ``measure_batch``'s vertex rows or (m, 3, d) block, and
+``TripleGather``'s index triples into one set of points, which the
+annealing search prepares once per point and measures on every move.  Each
+form writes its edges and hands them to one products path and one
+classification tail.  In R^2 and R^3 the edges are coordinate-major, so
+each pass is a contiguous loop over the triples and each dot product is
+summed in one fixed order on every host; a block of at most
+``_SMALL_BLOCK`` rows (a search move's, the tail of an enumeration) takes
+all its products in one gather and one multiply, since there a numpy call
+costs more than its arithmetic, and gets the same bytes.  From d = 4 on the
+kernel keeps ``einsum`` on row-major edges, which a C-contiguous block
+fills by one subtraction over its whole buffer.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ def _lagged_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # of the edges, costs more than the calls it saves.  The two paths cross
 # near 600 rows at d = 2 and 1,400 at d = 3 (README, numerical notes); the
 # cut-over sits at the lower one, so every Monte Carlo chunk of 4,096 rows
-# keeps the per-pass products of ``_coordinate_measures``.
+# keeps the per-pass products of ``_edge_measures``.
 _SMALL_BLOCK = 512
 
 
@@ -141,7 +145,7 @@ def _product_rows(d: int) -> np.ndarray:
     Per coordinate j, six products: cur[j] * nxt[j] (the three vertex dots)
     and nxt[j] * nxt[j] (the squared |ab|, |bc|, |ac|); then the cross
     product's terms u_i v_k of u = ba and v = ac, in the order
-    ``_coordinate_measures`` subtracts them: u0 v1 - u1 v0 at d = 2, and at
+    ``_edge_measures`` subtracts them: u0 v1 - u1 v0 at d = 2, and at
     d = 3 (u1 v2, u2 v0, u0 v1) - (u2 v1, u0 v2, u1 v0).
     """
     left, right = [], []
@@ -158,7 +162,7 @@ _PRODUCT_ROWS = {d: _product_rows(d) for d in (2, 3)}
 
 
 def _gathered_measures(edges: np.ndarray):
-    """``_coordinate_measures``'s result from its (d, 4, m) edge buffer,
+    """``_edge_measures``'s result from its (d, 4, m) edge buffer,
     with every product from one ``take`` of the buffer's rows and one
     multiply (see ``_product_rows`` for the rows).
 
@@ -192,16 +196,28 @@ def _gathered_measures(edges: np.ndarray):
 
 
 def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """``(dots, area, scale, work)`` in R^2 and R^3 from (m, d) vertex rows:
-    the (3, m) dot products at a, b and c, the (m,) area and largest squared
-    edge length, and ``work``, rows of the buffer that are free once these
-    are computed.
+    """``_edge_measures`` of (m, d) vertex rows in R^2 and R^3: the edges go
+    into one coordinate-major (d, 4, m) buffer, slots ca, ba, bc, ac, written
+    from the transposed vertex rows (stride-0 rows are read in place)."""
+    m, d = a.shape
+    edges = np.empty((d, 4, m))
+    at, bt, ct = a.T, b.T, c.T
+    np.subtract(at, ct, out=edges[:, 0])
+    np.subtract(at, bt, out=edges[:, 1])
+    np.subtract(ct, bt, out=edges[:, 2])
+    np.subtract(ct, at, out=edges[:, 3])
+    return _edge_measures(edges)
 
-    The edges go into one coordinate-major (d, 4, m) buffer, slots ca, ba,
-    bc, ac, written from the transposed vertex rows (stride-0 rows are read
-    in place), so every later pass is a contiguous loop over the triples.
-    A block of at most ``_SMALL_BLOCK`` rows hands the buffer to
-    ``_gathered_measures``; a larger one takes its products pass by pass.
+
+def _edge_measures(edges: np.ndarray):
+    """``(dots, area, scale, work)`` in R^2 and R^3 from the (d, 4, m) edge
+    buffer, slots ca, ba, bc, ac: the (3, m) dot products at a, b and c, the
+    (m,) area and largest squared edge length, and ``work``, rows of a
+    buffer that are free once these are computed.
+
+    Every pass is a contiguous loop over the triples.  A block of at most
+    ``_SMALL_BLOCK`` rows takes its products from ``_gathered_measures``; a
+    larger one takes them pass by pass.
     Adjacent slots are the two edges at a, b and c: with cur = slots 0..2
     and nxt = slots 1..3, the dot products are one sum over coordinates j
     of cur[j] * nxt[j], and the squared lengths of ba, bc, ac one sum of
@@ -215,13 +231,7 @@ def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     Besides the buffer only the (3, m) dot products and one (3, m) scratch
     block are allocated: 18 values per triple at d = 3.
     """
-    m, d = a.shape
-    edges = np.empty((d, 4, m))
-    at, bt, ct = a.T, b.T, c.T
-    np.subtract(at, ct, out=edges[:, 0])
-    np.subtract(at, bt, out=edges[:, 1])
-    np.subtract(ct, bt, out=edges[:, 2])
-    np.subtract(ct, at, out=edges[:, 3])
+    d, _, m = edges.shape
     if m <= _SMALL_BLOCK:
         return _gathered_measures(edges)
     cur, nxt = edges[:, :3], edges[:, 1:]
@@ -258,6 +268,56 @@ def _coordinate_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return dots, area, scale, lengths
 
 
+def _row_measures(edges: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """``(dots, area, scale, work)`` outside R^2 and R^3 from the row-major
+    (m, d) edges ``(ab, ac, bc)``, which the caller passes as a tuple it keeps
+    no reference to, so they are freed before the area.
+
+    The dot products stay on einsum, whose order follows numpy's SIMD
+    dispatch (see the README's numerical notes for the order measured on
+    the host that made the pinned digests).  It sums a row in that order
+    only when the row's coordinates are adjacent, so every caller writes the
+    edges in C order whatever the vertices' layout.
+    """
+    ab, ac, bc = edges
+    del edges
+    dot = lambda u, v, out=None: np.einsum("...i,...i->...", u, v, out=out)
+    dots = np.empty((3, ab.shape[0]))
+    dot(ab, ac, dots[0])
+    np.negative(dot(ab, bc, dots[1]), out=dots[1])
+    dot(ac, bc, dots[2])
+    work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
+    # The edge vectors are the largest temporaries: drop them before the
+    # area, so a Monte Carlo block's peak memory stays low.
+    del ab, ac, bc
+    area = _triangle_area(*work)
+    scale = np.maximum(work[0], np.maximum(work[1], work[2]))
+    return dots, area, scale, work
+
+
+def _class_codes(dots: np.ndarray, area: np.ndarray, scale: np.ndarray, work, tol: float):
+    """``(codes, min_abs, scale)`` of m triples from their measures, the
+    classification every form of the kernel ends in.
+
+    Temporaries go into free rows of ``work`` and min_abs into b's dot
+    product, so only the codes are allocated while the large buffers are
+    live: allocated after those are freed, they would split the space the
+    next block's buffers need, and a worker thread's heap would grow.  The
+    obtuse flags are written as the codes' bytes and doubled, so the one
+    dense class needs no masked store.
+    """
+    dot_a, dot_b, dot_c = dots[0], dots[1], dots[2]
+    thresh = np.multiply(scale, tol, out=work[0])
+    low = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=work[1]), out=work[1])
+    np.abs(dots, out=dots)
+    min_abs = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=dot_b), out=dot_b)
+    codes = np.greater(np.negative(low, out=low), thresh).view(np.int8)
+    codes += codes  # 0 acute, 2 obtuse
+    codes[min_abs <= thresh] = 1
+    codes[area <= thresh] = 3
+    return codes, min_abs, scale
+
+
 def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,
                   tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triangle-measure kernel: class codes with the quantities behind them.
@@ -270,17 +330,19 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
       (..., 3, d) whose rows are the vertices a, b, c, with ``tol`` passed
       by keyword.
 
-    Only this function sees the leading shape: it takes either form as (m, d)
-    vertex rows (a block as its views ``tri[:, 0]``, ``tri[:, 1]``,
+    A third form, ``TripleGather``, takes index triples into one set of
+    points.  Only this function sees the leading shape: it takes either form
+    as (m, d) vertex rows (a block as its views ``tri[:, 0]``, ``tri[:, 1]``,
     ``tri[:, 2]``) and gives each output that shape back.  In R^2 and R^3
-    the rows go to ``_coordinate_measures``, which gives a block of at most
-    ``_SMALL_BLOCK`` rows its products from one gather and one multiply
+    ``_coordinate_measures`` writes the rows' edges into a coordinate-major
+    buffer and ``_edge_measures`` gives a block of at most ``_SMALL_BLOCK``
+    rows its products from one gather and one multiply
     (``_gathered_measures``) and a larger one pass by pass, with the same
-    bytes either way; else the edges are the (m, d)
-    rows ``b - a``, ``c - a``, ``c - b``, which ``_lagged_edges`` fills from
-    a C-contiguous block (a Monte Carlo chunk, the search's gathered block).
-    Every edge is the same subtraction in both forms, so they return
-    bit-identical results.  Only leading axes broadcast: the
+    bytes either way; else the edges are the (m, d) rows ``b - a``,
+    ``c - a``, ``c - b`` for ``_row_measures``, which ``_lagged_edges``
+    fills from a C-contiguous block (a Monte Carlo chunk).  Every form ends
+    in ``_class_codes``.  Every edge is the same subtraction in each form,
+    so they return bit-identical results.  Only leading axes broadcast: the
     three vertices must have one trailing length d.
 
     Returns ``(codes, min_abs, scale)`` of the leading shape: the int8 class
@@ -315,46 +377,68 @@ def measure_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | No
         lead, d = a.shape[:-1], a.shape[-1]
         a, b, c = (p.reshape(math.prod(lead), d) for p in (a, b, c))
     if d in (2, 3):
-        dots, area, scale, work = _coordinate_measures(a, b, c)
+        measures = _coordinate_measures(a, b, c)
+    elif tri is not None and tri.flags.c_contiguous:
+        measures = _row_measures(_lagged_edges(tri))
     else:
-        # The dot products stay on einsum, whose order follows numpy's SIMD
-        # dispatch (see the README's numerical notes for the order measured
-        # on the host that made the pinned digests).  It sums a row in that
-        # order only when the row's coordinates are adjacent, so the edges
-        # are written in C order whatever the vertices' layout.  The vertex
-        # form's rows are already contiguous, and stacking them into a
-        # block first would cost more than the fill saves.
-        if tri is not None and tri.flags.c_contiguous:
-            ab, ac, bc = _lagged_edges(tri)
-        else:
-            ab, ac, bc = (np.subtract(p, q, order="C") for p, q in ((b, a), (c, a), (c, b)))
-        dot = lambda u, v, out=None: np.einsum("...i,...i->...", u, v, out=out)
-        dots = np.empty((3, ab.shape[0]))
-        dot(ab, ac, dots[0])
-        np.negative(dot(ab, bc, dots[1]), out=dots[1])
-        dot(ac, bc, dots[2])
-        work = dot(ab, ab), dot(ac, ac), dot(bc, bc)  # squared |ab|, |ac|, |bc|
-        # The edge vectors are the largest temporaries: drop them before the
-        # area, so a Monte Carlo block's peak memory stays low.
-        del ab, ac, bc
-        area = _triangle_area(*work)
-        scale = np.maximum(work[0], np.maximum(work[1], work[2]))
-    # Temporaries go into free rows of ``work`` and min_abs into b's dot
-    # product, so only the codes are allocated while the large buffers are
-    # live: allocated after those are freed, they would split the space the
-    # next block's buffers need, and a worker thread's heap would grow.  The
-    # obtuse flags are written as the codes' bytes and doubled, so the one
-    # dense class needs no masked store.
-    dot_a, dot_b, dot_c = dots[0], dots[1], dots[2]
-    thresh = np.multiply(scale, tol, out=work[0])
-    low = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=work[1]), out=work[1])
-    np.abs(dots, out=dots)
-    min_abs = np.minimum(dot_a, np.minimum(dot_b, dot_c, out=dot_b), out=dot_b)
-    codes = np.greater(np.negative(low, out=low), thresh).view(np.int8)
-    codes += codes  # 0 acute, 2 obtuse
-    codes[min_abs <= thresh] = 1
-    codes[area <= thresh] = 3
+        # The vertex form's rows are already contiguous, and stacking them
+        # into a block first would cost more than the fill saves.
+        measures = _row_measures(tuple(np.subtract(p, q, order="C")
+                                       for p, q in ((b, a), (c, a), (c, b))))
+    codes, min_abs, scale = _class_codes(*measures, tol)
     return codes.reshape(lead), min_abs.reshape(lead), scale.reshape(lead)
+
+
+class TripleGather:
+    """Index triples into a set of n points in R^d, prepared for repeated
+    measuring: ``TripleGather(triples, n, d).measure(points, tol)`` returns
+    ``measure_batch``'s ``(codes, min_abs, scale)`` for the (m, 3) triples
+    of vertex indices, as (m,) arrays, with the bytes of
+    ``measure_batch(points[triples], tol=tol)``.
+
+    It stores the vertex rows that each edge subtracts, so a measure gathers
+    its edges straight from the points, with no (m, 3, d) block between.  In
+    R^2 and R^3 the (4, m) rows ``[a, a, c, c]`` minus ``[c, b, b, a]``, one
+    ``take`` of the transposed points per side and one subtraction, give
+    the (d, 4, m) coordinate-major buffer of ``_edge_measures``; elsewhere
+    the (3, m) rows ``[b, c, c]`` minus ``[a, a, b]`` give the row-major
+    ``ab``, ``ac`` and ``bc`` of ``_row_measures``.  Every edge is the same
+    subtraction of the same operands as in the other forms.  The rows hold
+    8 (or 6) indices per triple.
+    """
+
+    def __init__(self, triples, n: int, d: int):
+        self.n = _int_at_least("n", n, 1)
+        self.d = _int_at_least("dimension", d, 1)
+        idx = np.asarray(triples)
+        if idx.ndim != 2 or idx.shape[1] != 3:
+            raise ValueError(f"triples have shape (m, 3), got {idx.shape}")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise TypeError(f"triples must be integer indices, got dtype {idx.dtype}")
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n):
+            raise ValueError(f"a triple names a point outside 0..{self.n - 1}")
+        a, b, c = idx.T.astype(np.intp)
+        if self.d in (2, 3):
+            self._ends = np.stack([a, a, c, c]), np.stack([c, b, b, a])
+        else:
+            self._ends = np.stack([b, c, c]), np.stack([a, a, b])
+
+    def measure(self, points: np.ndarray, tol: float = DEFAULT_TOL):
+        """``(codes, min_abs, scale)`` of the triples on an (n, d) point array."""
+        tol = _real_in("tol", tol, 0.0, math.inf, closed=0.0)
+        pts = np.asarray(points, dtype=float)
+        if pts.shape != (self.n, self.d):
+            raise ValueError(f"points have shape ({self.n}, {self.d}), got {pts.shape}")
+        # mode="clip" skips a bounds check that the constructor has made.
+        head, tail = self._ends
+        if self.d in (2, 3):
+            pt = pts.T
+            measures = _edge_measures(np.subtract(pt.take(head, axis=1, mode="clip"),
+                                                  pt.take(tail, axis=1, mode="clip")))
+        else:
+            measures = _row_measures(tuple(np.subtract(pts.take(head, axis=0, mode="clip"),
+                                                       pts.take(tail, axis=0, mode="clip"))))
+        return _class_codes(*measures, tol)
 
 
 def classify_batch(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None,

@@ -30,6 +30,7 @@ from obtri.geometry import (
     DEFAULT_TOL,
     Configuration,
     TriangleClass,
+    TripleGather,
     classify_exact,
     count_classes,
     measure_batch,
@@ -154,12 +155,11 @@ def search_min(params: SearchParams) -> SearchResult:
             below the closed-form bound.
     """
     idx = np.array(list(combinations(range(params.n), 3)), dtype=np.intp)
-    # For each point, the triples that contain it: all a move has to re-measure,
-    # as their (m, 3) corner indices for one gather into a block every move
-    # reuses (each point is in C(n-1, 2) triples).
+    # For each point, the triples that contain it: all a move has to re-measure
+    # (each point is in C(n-1, 2) triples), prepared once to be gathered
+    # straight from the points on every move.
     touching = [np.flatnonzero((idx == p).any(axis=1)) for p in range(params.n)]
-    corners = [idx[t] for t in touching]
-    block = np.empty(corners[0].shape + (params.d,))
+    gathers = [TripleGather(idx.take(t, axis=0), params.n, params.d) for t in touching]
     strict = params.mode == "strict-obtuse"
     cool = (T_FINAL / T_INITIAL) ** (1.0 / max(1, params.iterations - 1))
     shrink = (SCALE_FINAL / SCALE_INITIAL) ** (1.0 / max(1, params.iterations - 1))
@@ -194,11 +194,8 @@ def search_min(params: SearchParams) -> SearchResult:
             old = pts[k].copy()
             pts[k] = old + step
             t = touching[k]
-            # mode="clip" (the indices are in range) lets take write into
-            # the block without buffering it first.
-            new_codes, min_abs, scale = measure_batch(
-                pts.take(corners[k], axis=0, out=block, mode="clip"), tol=params.tol)
-            cand_count = count - tally(codes[t]) + tally(new_codes)
+            new_codes, min_abs, scale = gathers[k].measure(pts, params.tol)
+            cand_count = count - tally(codes.take(t)) + tally(new_codes)
             # A move that raises the count is decided by the count alone, so
             # a rejected one has written nothing but the point and computed
             # no margin.  Any other move needs the minimum margin with its
@@ -206,17 +203,17 @@ def search_min(params: SearchParams) -> SearchResult:
             if cand_count > count and rng.random() >= math.exp((count - cand_count) / temp):
                 pts[k] = old
             else:
-                old_margins = margins[t]
-                margins[t] = margins_of(min_abs, scale)
+                old_margins = margins.take(t)
+                margins.put(t, margins_of(min_abs, scale))
                 cand_margin = float(np.minimum.reduce(margins))
                 if cand_count != count or cand_margin >= margin:
-                    codes[t] = new_codes
+                    codes.put(t, new_codes)
                     count, margin = cand_count, cand_margin
                     if count < local_count or (count == local_count and margin > local_margin):
                         local_pts, local_count, local_margin = pts.copy(), count, margin
                 else:
                     pts[k] = old
-                    margins[t] = old_margins
+                    margins.put(t, old_margins)
             temp *= cool
             sigma *= shrink
         per_restart.append(local_count)

@@ -258,7 +258,7 @@ class TestFixedpoint:
     def test_scan_without_points_is_usage_error(self, points, capsys):
         code, out, err = run(["fixedpoint", "--scan", "--scan-points", points], capsys)
         assert code == EXIT_USAGE
-        assert err.startswith("error:") and "at least 1 point" in err
+        assert err == f"error: scan points must be >= 1, got {points}\n"
         assert out == ""
 
 

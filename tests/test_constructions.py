@@ -267,7 +267,7 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_scan_needs_a_point(self, n):
-        with pytest.raises(ValueError, match="at least 1 point"):
+        with pytest.raises(ValueError, match=f"^scan points must be >= 1, got {n}$"):
             fixed_point_scan(n)
 
 

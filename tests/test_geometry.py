@@ -13,6 +13,7 @@ from obtri.bounds import binom3
 from obtri.geometry import (
     Configuration,
     TriangleClass,
+    TripleGather,
     _coordinate_measures,
     _gathered_measures,
     _lagged_edges,
@@ -437,6 +438,81 @@ class TestLaggedEdges:
         measure_batch(tri[:, 0], tri[:, 1], tri[:, 2], 1e-12)
         measure_batch(tri[0, 0], tri[:, 1], tri[:, 2], 1e-12)
         assert len(calls) == fills
+
+
+class TestTripleGather:
+    """``TripleGather`` gathers each triple's edges straight from the points,
+    and every output has the bytes of the block form on the same triples."""
+
+    SPECIAL = [0.0, -0.0, 1e200, -1e200, 1e-200, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def point_sets(d):
+        rng = np.random.default_rng(100 + d)
+        n = 40
+        plain = rng.standard_normal((n, d))
+        plain[:8] += 1e6                                  # large common coordinates
+        plain[8:12] = np.arange(4.0)[:, None] * plain[12]  # collinear with a common point
+        plain[13] = plain[14]                             # coincident
+        plain[15] = plain[16] + 1e-9 * plain[17]          # a needle's near end
+        special = np.where(rng.random((n, d)) < 0.3, rng.choice(TestTripleGather.SPECIAL, (n, d)),
+                           rng.standard_normal((n, d)))
+        special[:len(TestTripleGather.SPECIAL)] = np.array(TestTripleGather.SPECIAL)[:, None]
+        return rng, {"plain": plain, "special": special}
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 10])
+    def test_bytes_equal_block_form(self, d, tol):
+        # Blocks of one row, the search's 15 and 171, the small-block
+        # cut-over and one row more, and a Monte Carlo chunk's 4,096; random
+        # triples, which repeat an index now and then, and triples that
+        # repeat one on purpose.
+        rng, sets = self.point_sets(d)
+        repeats = np.array([[5, 5, 7], [9, 20, 20], [30, 31, 30], [3, 3, 3]])
+        with np.errstate(all="ignore"):
+            for m in (1, 15, 171, geometry._SMALL_BLOCK, geometry._SMALL_BLOCK + 1, 4096):
+                triples = rng.integers(0, 40, size=(m, 3))
+                triples[:4] = repeats[:m]
+                for name, pts in sets.items():
+                    want = measure_batch(pts[triples], tol=tol)
+                    got = TripleGather(triples, 40, d).measure(pts, tol)
+                    for x, y in zip(got, want, strict=True):
+                        assert x.shape == y.shape == (m,) and x.dtype == y.dtype, (name, m)
+                        assert x.tobytes() == y.tobytes(), (name, m)
+            codes = TripleGather(repeats, 40, d).measure(sets["plain"], tol)[0]
+            assert codes.tolist() == [3, 3, 3, 3]             # coincident vertices are degenerate
+
+    def test_special_values_are_exercised(self):
+        _, sets = self.point_sets(3)
+        triples = np.array(list(itertools.combinations(range(12), 3)))
+        with np.errstate(all="ignore"):
+            codes, _, scale = TripleGather(triples, 40, 3).measure(sets["special"], 1e-12)
+        assert np.isnan(scale).any() and np.isinf(scale).any()
+        assert {0, 3} <= set(codes.tolist())
+
+    def test_refusals(self):
+        ok = np.array([[0, 1, 2]])
+        for bad in ([[0, 1, 3]], [[-1, 1, 2]]):
+            with pytest.raises(ValueError, match=r"^a triple names a point outside 0\.\.2$"):
+                TripleGather(bad, 3, 2)
+        for shape in ((3,), (1, 2), (1, 4), (1, 3, 1), (0,)):
+            with pytest.raises(ValueError, match=r"^triples have shape \(m, 3\)"):
+                TripleGather(np.zeros(shape, dtype=np.intp), 3, 2)
+        for bad in (np.array([[0.0, 1.0, 2.0]]), np.array([[True, False, True]])):
+            with pytest.raises(TypeError, match="integer indices"):
+                TripleGather(bad, 3, 2)
+        with pytest.raises(TypeError, match="^dimension must be an integer, got True$"):
+            TripleGather(ok, 3, True)
+        with pytest.raises(TypeError, match="^n must be an integer, got True$"):
+            TripleGather(ok, True, 2)
+        for d in (2, 4):
+            gather = TripleGather(ok, 3, d)
+            for shape in ((3, d + 1), (4, d), (2, d), (3 * d,), (3, d, 1), (1, 3, d)):
+                with pytest.raises(ValueError, match=rf"^points have shape \(3, {d}\), got"):
+                    gather.measure(np.zeros(shape), 1e-12)
+            with pytest.raises(ValueError, match="tol must be finite"):
+                gather.measure(np.zeros((3, d)), -1.0)
+            assert gather.measure(np.eye(3, d), 0.0)[0].tolist() == [0 if d > 2 else 1]
 
 
 def _wide_rows(rng, shape):

@@ -28,6 +28,7 @@ from obtri.constructions import (
     SelfSimilarSampler,
     SphereSampler,
     arc_triple_pattern_report,
+    fixed_point_scan,
     mc_self_similar,
 )
 from obtri.geometry import Configuration
@@ -73,6 +74,9 @@ SITES = {
                                     12, 0, "max_depth"),
     "arc_triple_pattern_report": (lambda n: arc_triple_pattern_report(DEMO, n, seed=1).to_csv(),
                                   20, 1, "samples_per_pattern"),
+    # The scan's p values, with their types: a numpy count once gave np.float64 ones.
+    "fixed_point_scan": (lambda n: [(type(p), p) for p, _ in fixed_point_scan(n)], 9, 1,
+                         "scan points"),
     "_count_strata-samples": (lambda s: estimate(SphereSampler(3), s, seed=1).counts, 300, 1,
                               "samples"),
     "_count_strata-workers": (lambda w: estimate(SphereSampler(3), 300, seed=1, workers=w,
